@@ -41,6 +41,10 @@
       admission control: every response arrives in request order, the
       overflow answers ok:false + retry_after_s, the shed count matches
       mae_serve_requests_shed_total, and sheds burn neither SLO.
+  11. deep pipelining: one keep-alive connection to the warm daemon
+      writes 64 POST /estimate requests in a single burst; all 64 must
+      answer 200, in order, within 5 s, with /healthz answering 200
+      while they are in flight.
 
      dune build @serve-smoke   (also pulled in by @bench-smoke) *)
 
@@ -1010,6 +1014,85 @@ let () =
   check
     (hits1 = hits0 + 1 && misses1 = misses0)
     "warm daemon counters moved by 1 store hit, 0 misses";
+
+  (* --- deep pipelining: one keep-alive connection writes 64 estimate
+     requests at once.  Framing is linear in the bytes received, so all
+     64 answer in order well inside the deadline, and the obs plane
+     answers meanwhile.  A decoder that rescans or copies the buffered
+     backlog per frame is quadratic in it (an unbounded pipelining
+     client stalled such a daemon for 73 s); each request here carries
+     256 KiB of padding in a field the daemon ignores, so that cost
+     would run to seconds.  The module is the journal-warmed one, so
+     every answer is a store hit and the snapshot below still holds one
+     record. --- *)
+  let depth = 64 and deadline_s = 5.0 in
+  let padding = String.make 262144 'p' in
+  let deep_request i =
+    let body =
+      Json.encode
+        (Json.Object
+           [ ("id", Json.String (Printf.sprintf "deep-%d" i));
+             ("pad", Json.String padding);
+             ("hdl", Json.String warm_hdl) ])
+    in
+    Printf.sprintf
+      "POST /estimate HTTP/1.1\r\nHost: smoke\r\nContent-Length: %d\r\n\r\n%s"
+      (String.length body) body
+  in
+  let deep_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect deep_fd (Unix.ADDR_INET (Unix.inet_addr_loopback, warm_req_port));
+  (* a read that waits past the deadline fails the phase instead of
+     hanging it *)
+  Unix.setsockopt_float deep_fd Unix.SO_RCVTIMEO deadline_s;
+  let deep_t0 = Unix.gettimeofday () in
+  (* the writer runs beside the reader so neither side's socket buffer
+     can fill up and deadlock the other *)
+  let writer =
+    Domain.spawn (fun () ->
+        write_fully deep_fd (String.concat "" (List.init depth deep_request)))
+  in
+  (* once the first answer is back the daemon holds the backlog: ask
+     the obs plane for /healthz then *)
+  let deep_health = ref ("", 0.) in
+  let rec collect i leftover =
+    if i = 1 then begin
+      let h0 = Unix.gettimeofday () in
+      let head, _ = http_get ~port:warm_obs_port "/healthz" in
+      deep_health := (head, Unix.gettimeofday () -. h0)
+    end;
+    if i < depth then begin
+      let head, body, rest =
+        try recv_http deep_fd leftover
+        with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          fail "deep pipeline: no byte for %.0f s while awaiting response %d of %d"
+            deadline_s (i + 1) depth
+      in
+      if not (String.length head >= 15 && String.equal (String.sub head 0 15) "HTTP/1.1 200 OK")
+      then fail "deep pipeline: response %d is not a 200: %S" (i + 1) head;
+      (match Json.parse (String.trim body) with
+      | Ok doc ->
+          if Json.member "id" doc <> Some (Json.String (Printf.sprintf "deep-%d" i))
+          then fail "deep pipeline: response %d out of order: %S" (i + 1) body;
+          if Json.member "cached" doc <> Some (Json.Bool true) then
+            fail "deep pipeline: response %d not a store hit: %S" (i + 1) body
+      | Error e -> fail "deep pipeline: response %d not JSON (%s)" (i + 1) e);
+      collect (i + 1) rest
+    end
+  in
+  collect 0 "";
+  let deep_elapsed = Unix.gettimeofday () -. deep_t0 in
+  Domain.join writer;
+  Unix.close deep_fd;
+  check
+    (deep_elapsed <= deadline_s)
+    "%d pipelined requests on one connection answered 200, in order, in %.3f s"
+    depth deep_elapsed;
+  let health_head, health_s = !deep_health in
+  check
+    (String.length health_head >= 12
+    && String.equal (String.sub health_head 9 3) "200"
+    && health_s <= deadline_s)
+    "/healthz answered 200 in %.3f s while the pipeline was in flight" health_s;
   Unix.kill warm_pid Sys.sigterm;
   let _, warm_status = Unix.waitpid [] warm_pid in
   check (warm_status = Unix.WEXITED 0) "warm daemon drained and exited 0";

@@ -30,8 +30,13 @@ let _naive =
    layout experiments.  We fit once, lazily, on the Table 1 bench
    circuits' exact full-custom estimates under the paper's nmos25
    process -- the closest thing the repo has to "numerous layout
-   experiments". *)
-let champ_model =
+   experiments".  Lazily, because fitting at module initialization
+   would charge every process that links the baselines for it, and
+   under a mutex, because forcing one [lazy] from two domains at once
+   raises [CamlinternalLazy.Undefined] in the loser. *)
+let champ_lock = Mutex.create ()
+
+let champ_fit =
   lazy
     (let process = Mae_tech.Builtin.nmos25 in
      let pairs =
@@ -47,13 +52,15 @@ let champ_model =
      in
      Champ.fit pairs)
 
+let champ_model () = Mutex.protect champ_lock (fun () -> Lazy.force champ_fit)
+
 let _champ =
   Methodology.register ~name:"champ"
     ~doc:
       "CHAMP-style power law area = a * devices^b, fit on the Table 1 bench \
        suite's exact full-custom estimates"
     (fun ctx (_ : Mae_netlist.Circuit.t) ->
-      match Lazy.force champ_model with
+      match champ_model () with
       | Error reason ->
           Error
             (Methodology.Unsupported

@@ -135,14 +135,25 @@ let insert_live t k report =
   push_front t n;
   enforce_cap t
 
+(* The key text is built in one buffer and hashed once; its bytes are
+   those of the original "mae-cas-key 1\n%sprocess %s\nregistry
+   %s\nmethods %s\n" rendering, so journals written before stay valid. *)
 let key ?(methods = M.default_names) ~process circuit =
-  Digest.to_hex
-    (Digest.string
-       (Printf.sprintf "mae-cas-key 1\n%sprocess %s\nregistry %s\nmethods %s\n"
-          (Mae_netlist.Canonical.to_string circuit)
-          (Mae_tech.Process.fingerprint process)
-          (M.registry_version ())
-          (String.concat "," methods)))
+  let b = Buffer.create 4096 in
+  Buffer.add_string b "mae-cas-key 1\n";
+  Mae_netlist.Canonical.add b circuit;
+  Buffer.add_string b "process ";
+  Buffer.add_string b (Mae_tech.Process.fingerprint process);
+  Buffer.add_string b "\nregistry ";
+  Buffer.add_string b (M.registry_version ());
+  Buffer.add_string b "\nmethods ";
+  List.iteri
+    (fun i m ->
+      if i > 0 then Buffer.add_char b ',';
+      Buffer.add_string b m)
+    methods;
+  Buffer.add_char b '\n';
+  Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* --- outcome (de)serialization: one "method" line per result --- *)
 

@@ -11,7 +11,13 @@
 val to_string : Circuit.t -> string
 (** The canonical text.  Deterministic and construction-order
     independent; names are quoted so adversarial names cannot collide
-    two different circuits onto one rendering. *)
+    two different circuits onto one rendering.  The bytes are stable:
+    each name is rendered exactly as [Printf]'s [%S] renders it, so
+    store keys written by earlier versions still match. *)
+
+val add : Buffer.t -> Circuit.t -> unit
+(** [add buf c] appends {!to_string}[ c] to [buf], for callers that
+    digest the canonical text together with more fields. *)
 
 val digest : Circuit.t -> string
 (** Hex MD5 of {!to_string}.  Equal for structurally identical circuits;

@@ -16,14 +16,24 @@ let check_dense_indices what get arr =
     arr
 
 let check_unique_names what get arr =
-  let seen = Hashtbl.create 64 in
+  let seen = Name_table.create (Array.length arr) in
   Array.iter
     (fun x ->
       let n = get x in
-      if Hashtbl.mem seen n then
+      if Name_table.mem seen n then
         invalid_arg (Printf.sprintf "Circuit.make: duplicate %s name %s" what n);
-      Hashtbl.add seen n ())
+      Name_table.add seen n ())
     arr
+
+(* Whether pin [k] is the first of [pins] on its net: a device touching
+   one net through several pins is one member of that net. *)
+let first_pin (pins : int array) k =
+  let n = pins.(k) in
+  let j = ref 0 in
+  while !j < k && pins.(!j) <> n do
+    incr j
+  done;
+  !j = k
 
 let make ~name ~technology ~devices ~nets ~ports =
   if String.length name = 0 then invalid_arg "Circuit.make: empty name";
@@ -36,22 +46,40 @@ let make ~name ~technology ~devices ~nets ~ports =
   check_unique_names "net" (fun (n : Net.t) -> n.name) nets;
   check_unique_names "port" (fun (p : Port.t) -> p.name) ports;
   let net_count = Array.length nets in
-  let in_range what n =
+  let in_range what name n =
     if n < 0 || n >= net_count then
-      invalid_arg (Printf.sprintf "Circuit.make: %s references net %d" what n)
+      invalid_arg
+        (Printf.sprintf "Circuit.make: %s %s references net %d" what name n)
   in
-  Array.iter
-    (fun (d : Device.t) -> Array.iter (in_range ("device " ^ d.name)) d.pins)
-    devices;
-  Array.iter (fun (p : Port.t) -> in_range ("port " ^ p.name) p.net) ports;
-  let members = Array.make net_count [] in
   Array.iter
     (fun (d : Device.t) ->
-      List.iter (fun n -> members.(n) <- d.index :: members.(n)) (Device.nets d))
+      for k = 0 to Array.length d.pins - 1 do
+        in_range "device" d.name d.pins.(k)
+      done)
     devices;
-  let net_devices =
-    Array.map (fun ds -> Array.of_list (List.sort Int.compare ds)) members
-  in
+  Array.iter (fun (p : Port.t) -> in_range "port" p.name p.net) ports;
+  (* [net_devices] by counting: devices are visited in index order, so
+     each net's array fills ascending with no sort *)
+  let degree = Array.make net_count 0 in
+  Array.iter
+    (fun (d : Device.t) ->
+      for k = 0 to Array.length d.pins - 1 do
+        if first_pin d.pins k then
+          degree.(d.pins.(k)) <- degree.(d.pins.(k)) + 1
+      done)
+    devices;
+  let net_devices = Array.map (fun k -> Array.make k 0) degree in
+  let fill = Array.make net_count 0 in
+  Array.iter
+    (fun (d : Device.t) ->
+      for k = 0 to Array.length d.pins - 1 do
+        let n = d.pins.(k) in
+        if first_pin d.pins k then begin
+          net_devices.(n).(fill.(n)) <- d.index;
+          fill.(n) <- fill.(n) + 1
+        end
+      done)
+    devices;
   { name; technology; devices; nets; ports; net_devices }
 
 let device_count t = Array.length t.devices

@@ -74,12 +74,14 @@ let encode v =
 
 exception Parse_failure of string
 
-type cursor = { text : string; mutable pos : int }
+(* The parser reads [text] from [base] up to [limit]; offsets in error
+   messages are relative to [base]. *)
+type cursor = { text : string; base : int; limit : int; mutable pos : int }
 
 let fail cur msg =
-  raise (Parse_failure (Printf.sprintf "%s at offset %d" msg cur.pos))
+  raise (Parse_failure (Printf.sprintf "%s at offset %d" msg (cur.pos - cur.base)))
 
-let peek cur = if cur.pos < String.length cur.text then Some cur.text.[cur.pos] else None
+let peek cur = if cur.pos < cur.limit then Some cur.text.[cur.pos] else None
 
 let advance cur = cur.pos <- cur.pos + 1
 
@@ -102,7 +104,7 @@ let expect cur c =
 let literal cur word value =
   let n = String.length word in
   if
-    cur.pos + n <= String.length cur.text
+    cur.pos + n <= cur.limit
     && String.equal (String.sub cur.text cur.pos n) word
   then begin
     cur.pos <- cur.pos + n;
@@ -131,7 +133,7 @@ let add_utf8 buf code =
   end
 
 let hex4 cur =
-  if cur.pos + 4 > String.length cur.text then fail cur "truncated \\u escape";
+  if cur.pos + 4 > cur.limit then fail cur "truncated \\u escape";
   let v = ref 0 in
   for _ = 1 to 4 do
     let c = cur.text.[cur.pos] in
@@ -147,53 +149,74 @@ let hex4 cur =
   done;
   !v
 
+(* Bytes a string literal holds verbatim: anything but the closing
+   quote, a backslash or a raw control character. *)
+let rec skip_plain cur =
+  if cur.pos < cur.limit then
+    match String.unsafe_get cur.text cur.pos with
+    | '"' | '\\' | '\000' .. '\031' -> ()
+    | _ ->
+        advance cur;
+        skip_plain cur
+
 let parse_string_body cur =
   expect cur '"';
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek cur with
-    | None -> fail cur "unterminated string"
-    | Some '"' -> advance cur
-    | Some '\\' -> begin
-        advance cur;
-        begin
-          match peek cur with
-          | Some '"' -> advance cur; Buffer.add_char buf '"'
-          | Some '\\' -> advance cur; Buffer.add_char buf '\\'
-          | Some '/' -> advance cur; Buffer.add_char buf '/'
-          | Some 'b' -> advance cur; Buffer.add_char buf '\b'
-          | Some 'f' -> advance cur; Buffer.add_char buf '\012'
-          | Some 'n' -> advance cur; Buffer.add_char buf '\n'
-          | Some 'r' -> advance cur; Buffer.add_char buf '\r'
-          | Some 't' -> advance cur; Buffer.add_char buf '\t'
-          | Some 'u' ->
-              advance cur;
-              let hi = hex4 cur in
-              if hi >= 0xD800 && hi <= 0xDBFF then begin
-                (* high surrogate: a low surrogate must follow *)
-                expect cur '\\';
-                expect cur 'u';
-                let lo = hex4 cur in
-                if lo < 0xDC00 || lo > 0xDFFF then
-                  fail cur "unpaired surrogate";
-                add_utf8 buf
-                  (0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00))
-              end
-              else if hi >= 0xDC00 && hi <= 0xDFFF then
-                fail cur "unpaired surrogate"
-              else add_utf8 buf hi
-          | _ -> fail cur "bad escape"
-        end;
-        go ()
-      end
-    | Some c when Char.code c < 0x20 -> fail cur "raw control char in string"
-    | Some c ->
-        advance cur;
-        Buffer.add_char buf c;
-        go ()
-  in
-  go ();
-  Buffer.contents buf
+  let start = cur.pos in
+  skip_plain cur;
+  if peek cur = Some '"' then begin
+    (* no escapes: the common case, one copy *)
+    advance cur;
+    String.sub cur.text start (cur.pos - 1 - start)
+  end
+  else begin
+    let buf = Buffer.create (2 * (cur.pos - start) + 16) in
+    Buffer.add_substring buf cur.text start (cur.pos - start);
+    let rec go () =
+      match peek cur with
+      | None -> fail cur "unterminated string"
+      | Some '"' -> advance cur
+      | Some '\\' -> begin
+          advance cur;
+          begin
+            match peek cur with
+            | Some '"' -> advance cur; Buffer.add_char buf '"'
+            | Some '\\' -> advance cur; Buffer.add_char buf '\\'
+            | Some '/' -> advance cur; Buffer.add_char buf '/'
+            | Some 'b' -> advance cur; Buffer.add_char buf '\b'
+            | Some 'f' -> advance cur; Buffer.add_char buf '\012'
+            | Some 'n' -> advance cur; Buffer.add_char buf '\n'
+            | Some 'r' -> advance cur; Buffer.add_char buf '\r'
+            | Some 't' -> advance cur; Buffer.add_char buf '\t'
+            | Some 'u' ->
+                advance cur;
+                let hi = hex4 cur in
+                if hi >= 0xD800 && hi <= 0xDBFF then begin
+                  (* high surrogate: a low surrogate must follow *)
+                  expect cur '\\';
+                  expect cur 'u';
+                  let lo = hex4 cur in
+                  if lo < 0xDC00 || lo > 0xDFFF then
+                    fail cur "unpaired surrogate";
+                  add_utf8 buf
+                    (0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00))
+                end
+                else if hi >= 0xDC00 && hi <= 0xDFFF then
+                  fail cur "unpaired surrogate"
+                else add_utf8 buf hi
+            | _ -> fail cur "bad escape"
+          end;
+          go ()
+        end
+      | Some c when Char.code c < 0x20 -> fail cur "raw control char in string"
+      | Some _ ->
+          let run = cur.pos in
+          skip_plain cur;
+          Buffer.add_substring buf cur.text run (cur.pos - run);
+          go ()
+    in
+    go ();
+    Buffer.contents buf
+  end
 
 let parse_number cur =
   let start = cur.pos in
@@ -282,15 +305,19 @@ and parse_array cur =
     elements []
   end
 
-let parse text =
-  let cur = { text; pos = 0 } in
+let parse_sub text ~off ~len =
+  if off < 0 || len < 0 || off > String.length text - len then
+    invalid_arg "Json.parse_sub";
+  let cur = { text; base = off; limit = off + len; pos = off } in
   match parse_value cur with
   | v ->
       skip_ws cur;
-      if cur.pos <> String.length text then
-        Error (Printf.sprintf "trailing garbage at offset %d" cur.pos)
+      if cur.pos <> cur.limit then
+        Error (Printf.sprintf "trailing garbage at offset %d" (cur.pos - off))
       else Ok v
   | exception Parse_failure msg -> Error msg
+
+let parse text = parse_sub text ~off:0 ~len:(String.length text)
 
 (* --- accessors --- *)
 

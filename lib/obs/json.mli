@@ -31,6 +31,11 @@ val parse : string -> (t, string) result
 (** Full-grammar JSON parser (objects, arrays, numbers, escapes
     including surrogate pairs).  Rejects trailing garbage. *)
 
+val parse_sub : string -> off:int -> len:int -> (t, string) result
+(** [parse_sub s ~off ~len] is [parse (String.sub s off len)] without
+    the copy; error offsets count from [off].  Raises
+    [Invalid_argument] when the window is not inside [s]. *)
+
 val member : string -> t -> t option
 (** First field of that name, when the value is an object. *)
 

@@ -91,8 +91,11 @@ let parse_methods doc =
     end
   | Some _ -> Error "\"methods\" must be a string or an array of strings"
 
-let request_of_body body =
-  match Json.parse body with
+(* One JSON request document -- the shared body semantics of both
+   dialects -- read straight out of the connection buffer's
+   [off, off + len) window, without copying it first. *)
+let request_of_body buf ~off ~len =
+  match Json.parse_sub buf ~off ~len with
   | Error e -> Invalid { id = Json.Null; error = "bad request JSON: " ^ e }
   | Ok doc -> begin
       let id = Option.value (Json.member "id" doc) ~default:Json.Null in
@@ -117,18 +120,18 @@ let request_of_body body =
 let http_methods =
   [ "GET"; "POST"; "HEAD"; "PUT"; "DELETE"; "OPTIONS"; "PATCH" ]
 
-(* Does the buffer start an HTTP request?  [`Maybe] while the buffer is
-   still a proper prefix of some "METHOD " token -- the caller waits for
-   more bytes before committing to a dialect.  A line-JSON request can
-   never be mistaken: it starts with '{' (or anything that is not an
-   HTTP method name). *)
-let looks_http buf =
-  let n = String.length buf in
+(* Does the buffer, from [off], start an HTTP request?  [`Maybe] while
+   the rest is still a proper prefix of some "METHOD " token -- the
+   caller waits for more bytes before committing to a dialect.  A
+   line-JSON request can never be mistaken: it starts with '{' (or
+   anything that is not an HTTP method name). *)
+let looks_http buf off =
+  let n = String.length buf - off in
+  let rec same m i lim = i >= lim || (buf.[off + i] = m.[i] && same m (i + 1) lim) in
   let classify m =
     let lm = String.length m in
-    if n > lm then
-      if String.sub buf 0 lm = m && buf.[lm] = ' ' then `Yes else `No
-    else if String.sub m 0 n = buf then `Maybe
+    if n > lm then if same m 0 lm && buf.[off + lm] = ' ' then `Yes else `No
+    else if same m 0 n then `Maybe
     else `No
   in
   List.fold_left
@@ -146,23 +149,22 @@ let strip_cr line =
     String.sub line 0 (String.length line - 1)
   else line
 
-let decode_line ~max_bytes buf =
-  let n = String.length buf in
-  match String.index_opt buf '\n' with
+let decode_line ~max_bytes buf off =
+  let n = String.length buf - off in
+  match String.index_from_opt buf off '\n' with
   | Some nl ->
-      let line = strip_cr (String.sub buf 0 nl) in
-      let len = String.length line in
+      let len = if nl > off && buf.[nl - 1] = '\r' then nl - off - 1 else nl - off in
       if len > max_bytes then
         Frame
           ( { request = Too_large { limit = max_bytes };
               framing = Line;
               bytes = len },
-            Ready, nl + 1 )
-      else if len = 0 then Skip (Ready, nl + 1)
+            Ready, nl - off + 1 )
+      else if len = 0 then Skip (Ready, nl - off + 1)
       else
         Frame
-          ({ request = request_of_body line; framing = Line; bytes = len },
-           Ready, nl + 1)
+          ( { request = request_of_body buf ~off ~len; framing = Line; bytes = len },
+            Ready, nl - off + 1 )
   | None ->
       if n > max_bytes then
         (* no newline yet and already over budget: answer now and
@@ -180,23 +182,26 @@ let decode_line ~max_bytes buf =
    64 KiB buffer bound.  Bodies are bounded by [max_bytes]. *)
 let max_head_bytes = 65536
 
-let find_sub hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec at i =
-    if i + nn > nh then None
-    else if String.equal (String.sub hay i nn) needle then Some i
-    else at (i + 1)
-  in
-  at 0
-
 (* Earliest of "\r\n\r\n" or a bare "\n\n" (tolerated like the old
-   plane did); returns (head_length, body_offset). *)
-let head_terminator buf =
-  match (find_sub buf "\r\n\r\n", find_sub buf "\n\n") with
-  | None, None -> None
-  | Some i, None -> Some (i, i + 4)
-  | None, Some j -> Some (j, j + 2)
-  | Some i, Some j -> if i <= j then Some (i, i + 4) else Some (j, j + 2)
+   plane did) at or after [off]; returns (head_end, body_offset) as
+   buffer positions.  One pass that stops at the first terminator, so
+   the body and any pipelined requests behind it are never scanned. *)
+let head_terminator buf off =
+  let n = String.length buf in
+  let rec at i =
+    if i + 1 >= n then None
+    else
+      match String.unsafe_get buf i with
+      | '\n' when String.unsafe_get buf (i + 1) = '\n' -> Some (i, i + 2)
+      | '\r'
+        when i + 3 < n
+             && String.unsafe_get buf (i + 1) = '\n'
+             && String.unsafe_get buf (i + 2) = '\r'
+             && String.unsafe_get buf (i + 3) = '\n' ->
+          Some (i, i + 4)
+      | _ -> at (i + 1)
+  in
+  at off
 
 type head = {
   meth : string;
@@ -253,9 +258,18 @@ let strip_query target =
   | Some i -> String.sub target 0 i
   | None -> target
 
-let decode_http ~max_bytes buf =
-  let n = String.length buf in
-  match head_terminator buf with
+(* The bounds of [String.trim] applied to [buf]'s [off, off + len)
+   window, without the copy. *)
+let trimmed buf ~off ~len =
+  let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false in
+  let rec first i = if i < off + len && is_space buf.[i] then first (i + 1) else i in
+  let start = first off in
+  let rec last j = if j > start && is_space buf.[j - 1] then last (j - 1) else j in
+  (start, last (off + len) - start)
+
+let decode_http ~max_bytes buf off =
+  let n = String.length buf - off in
+  match head_terminator buf off with
   | None ->
       if n > max_head_bytes then
         Frame
@@ -264,7 +278,8 @@ let decode_http ~max_bytes buf =
               bytes = n },
             Ready, n )
       else Await
-  | Some (head_len, body_off) -> begin
+  | Some (head_end, body_start) -> begin
+      let body_off = body_start - off in
       let closing err status =
         (* a framing error poisons the rest of the buffer: consume it
            all, answer, close *)
@@ -274,7 +289,7 @@ let decode_http ~max_bytes buf =
               bytes = n },
             Ready, n )
       in
-      match parse_head (String.sub buf 0 head_len) with
+      match parse_head (String.sub buf off (head_end - off)) with
       | Error e -> closing e 400
       | Ok h -> begin
           let version = Option.value h.version ~default:V10 in
@@ -302,7 +317,6 @@ let decode_http ~max_bytes buf =
                     Ready, n )
               else if n - body_off < body_len then Await
               else begin
-                let body = String.sub buf body_off body_len in
                 let consumed = body_off + body_len in
                 let path = strip_query h.target in
                 let request =
@@ -316,7 +330,9 @@ let decode_http ~max_bytes buf =
                               error =
                                 "POST needs a JSON request body (with \
                                  Content-Length)" }
-                        else request_of_body (String.trim body)
+                        else
+                          let off, len = trimmed buf ~off:body_start ~len:body_len in
+                          request_of_body buf ~off ~len
                       else
                         Malformed
                           { status = 404;
@@ -331,20 +347,21 @@ let decode_http ~max_bytes buf =
         end
     end
 
-let decode ~max_bytes state buf =
-  if String.length buf = 0 then Await
+let decode ?(off = 0) ~max_bytes state buf =
+  if off < 0 || off > String.length buf then invalid_arg "Protocol.decode: offset";
+  if String.length buf = off then Await
   else
     match state with
     | Discard_line -> begin
-        match String.index_opt buf '\n' with
-        | Some nl -> Skip (Ready, nl + 1)
-        | None -> Skip (Discard_line, String.length buf)
+        match String.index_from_opt buf off '\n' with
+        | Some nl -> Skip (Ready, nl - off + 1)
+        | None -> Skip (Discard_line, String.length buf - off)
       end
     | Ready -> begin
-        match looks_http buf with
+        match looks_http buf off with
         | `Maybe -> Await
-        | `Yes -> decode_http ~max_bytes buf
-        | `No -> decode_line ~max_bytes buf
+        | `Yes -> decode_http ~max_bytes buf off
+        | `No -> decode_line ~max_bytes buf off
       end
 
 (* --- responses --- *)

@@ -55,15 +55,17 @@ type step =
           lines, discarded oversize tail) *)
   | Await  (** need more bytes *)
 
-val decode : max_bytes:int -> decoder -> string -> step
-(** [decode ~max_bytes state buf] inspects the front of [buf].  The
-    dialect is chosen per frame: a buffer starting with an HTTP method
-    token decodes as HTTP, anything else as a JSON line.  [max_bytes]
-    bounds a request line or an HTTP body. *)
+val decode : ?off:int -> max_bytes:int -> decoder -> string -> step
+(** [decode ?off ~max_bytes state buf] inspects [buf] from [off]
+    (default 0); the byte counts in the result are relative to [off].
+    The dialect is chosen per frame: bytes starting with an HTTP method
+    token decode as HTTP, anything else as a JSON line.  [max_bytes]
+    bounds a request line or an HTTP body.
 
-val request_of_body : string -> request
-(** Parse one JSON request document ([Estimate] or [Invalid]) -- the
-    shared body semantics of both dialects. *)
+    Decoding is linear in the bytes of the frame it returns: the scan
+    stops at the first line or head terminator, and bytes buffered
+    behind the frame (pipelined requests) are neither scanned nor
+    copied.  Raises [Invalid_argument] when [off] is outside [buf]. *)
 
 (** {1 Responses} *)
 

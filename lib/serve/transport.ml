@@ -250,16 +250,18 @@ let accept t listener plane =
 (* Decode every complete frame in the connection buffer, in order, and
    hand each to [handle].  [handle] may answer inline (closing the
    connection on a framing error) or queue the frame; the loop stops
-   the moment the connection dies. *)
+   the moment the connection dies.  Frames decode in place at their
+   offset, so a deep pipeline costs one copy of the buffer, not one
+   per frame. *)
 let deliver_frames t conn ~handle =
   let data = Buffer.contents conn.rbuf in
   let len = String.length data in
   let rec go pos =
     if conn.dead || pos >= len then pos
     else begin
-      let rest = if pos = 0 then data else String.sub data pos (len - pos) in
       match
-        Protocol.decode ~max_bytes:t.config.max_request_bytes conn.decoder rest
+        Protocol.decode ~off:pos ~max_bytes:t.config.max_request_bytes
+          conn.decoder data
       with
       | Protocol.Await -> pos
       | Protocol.Skip (d, k) ->

@@ -8,6 +8,7 @@ type t = {
   min_spacing : Mae_geom.Lambda.t;
   devices : Device_kind.t list;
   device_index : (string * Device_kind.t) array;
+  fingerprint : string;
 }
 
 let check_unique_names devices =
@@ -28,6 +29,27 @@ let index_of_devices devices =
   Array.sort (fun (a, _) (b, _) -> String.compare a b) a;
   a
 
+let compute_fingerprint t =
+  (* Every numeric parameter is rendered as a hex float (%h): exact,
+     locale-independent, and distinct for distinct bit patterns.  Kinds
+     are listed sorted by name so two processes built from the same set
+     in different orders fingerprint equal. *)
+  let buf = Buffer.create 512 in
+  Printf.bprintf buf
+    "mae-process 1\nname %S\nlambda %h\nrow_height %h\ntrack_pitch %h\n\
+     feed_through_width %h\nport_pitch %h\nmin_spacing %h\n"
+    t.name t.lambda_microns t.row_height t.track_pitch t.feed_through_width
+    t.port_pitch t.min_spacing;
+  List.iter
+    (fun (k : Device_kind.t) ->
+      Printf.bprintf buf "device %S %s %h %h\n" k.name
+        (Device_kind.category_to_string k.category)
+        k.width k.height)
+    (List.sort
+       (fun (a : Device_kind.t) b -> String.compare a.name b.name)
+       t.devices);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
 let make ~name ~lambda_microns ~row_height ~track_pitch ~feed_through_width
     ~port_pitch ~min_spacing ~devices =
   if String.length name = 0 then invalid_arg "Process.make: empty name";
@@ -41,17 +63,21 @@ let make ~name ~lambda_microns ~row_height ~track_pitch ~feed_through_width
   positive "port_pitch" port_pitch;
   positive "min_spacing" min_spacing;
   check_unique_names devices;
-  {
-    name;
-    lambda_microns;
-    row_height;
-    track_pitch;
-    feed_through_width;
-    port_pitch;
-    min_spacing;
-    devices;
-    device_index = index_of_devices devices;
-  }
+  let t =
+    {
+      name;
+      lambda_microns;
+      row_height;
+      track_pitch;
+      feed_through_width;
+      port_pitch;
+      min_spacing;
+      devices;
+      device_index = index_of_devices devices;
+      fingerprint = "";
+    }
+  in
+  { t with fingerprint = compute_fingerprint t }
 
 let find_device t name =
   let a = t.device_index in
@@ -73,28 +99,10 @@ let device_area t name = Option.map Device_kind.area (find_device t name)
 
 let with_devices t devices =
   check_unique_names devices;
-  { t with devices; device_index = index_of_devices devices }
+  let t = { t with devices; device_index = index_of_devices devices } in
+  { t with fingerprint = compute_fingerprint t }
 
-let fingerprint t =
-  (* Every numeric parameter is rendered as a hex float (%h): exact,
-     locale-independent, and distinct for distinct bit patterns.  Kinds
-     are listed sorted by name so two processes built from the same set
-     in different orders fingerprint equal. *)
-  let buf = Buffer.create 512 in
-  Printf.bprintf buf
-    "mae-process 1\nname %S\nlambda %h\nrow_height %h\ntrack_pitch %h\n\
-     feed_through_width %h\nport_pitch %h\nmin_spacing %h\n"
-    t.name t.lambda_microns t.row_height t.track_pitch t.feed_through_width
-    t.port_pitch t.min_spacing;
-  List.iter
-    (fun (k : Device_kind.t) ->
-      Printf.bprintf buf "device %S %s %h %h\n" k.name
-        (Device_kind.category_to_string k.category)
-        k.width k.height)
-    (List.sort
-       (fun (a : Device_kind.t) b -> String.compare a.name b.name)
-       t.devices);
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+let fingerprint t = t.fingerprint
 
 let pp ppf t =
   Format.fprintf ppf

@@ -26,6 +26,9 @@ type t = private {
           by {!find_device}'s binary search -- name lookups run once per
           device per module, so they must not scan [devices].  Treat as
           frozen: reads are domain-safe only because nothing mutates it. *)
+  fingerprint : string;
+      (** {!fingerprint}, computed once at construction: the estimate
+          store folds it into every key it computes. *)
 }
 
 val make :
@@ -58,6 +61,7 @@ val fingerprint : t -> string
     scalar extents (rendered as exact hex floats) plus each device
     kind's name, category and geometry, sorted by kind name.  The
     estimate store folds this into its keys, so retuning a process
-    invalidates stored results by construction. *)
+    invalidates stored results by construction.  Computed once per
+    process, at construction; this reads the stored value. *)
 
 val pp : Format.formatter -> t -> unit

@@ -268,6 +268,17 @@ let report_bits (r : Mae.Driver.module_report) =
           [ (name ^ ".error:" ^ Mae.Methodology.error_to_string e, 0L) ])
     r.results
 
+(* Store keys are a persistence format: journals and snapshots written
+   by one build must still hit in the next.  This is the full adder's
+   key under the default method set as the original Printf-based key
+   builder computed it; any drift in the canonical text, the process
+   fingerprint or the key framing changes it.  It runs before the epoch
+   bump below, which changes every key. *)
+let test_cas_key_pinned () =
+  Alcotest.(check string) "full_adder key"
+    "0ffce77d92062da094c40c9d3950b499"
+    (Mae_db.Cas.key ~process:(process ()) S.full_adder)
+
 let test_cas_hit_returns_same_report () =
   let cas = Mae_db.Cas.create () in
   let r = report () in
@@ -483,6 +494,7 @@ let () =
         ] );
       ( "cas",
         [
+          Alcotest.test_case "key bytes pinned" `Quick test_cas_key_pinned;
           Alcotest.test_case "hit returns the stored report" `Quick
             test_cas_hit_returns_same_report;
           Alcotest.test_case "journal warm round trip" `Quick

@@ -41,6 +41,99 @@ let test_circuit_validation () =
       Circuit.make ~name:"c" ~technology:"t" ~devices:[] ~nets:[]
         ~ports:[ Port.make ~name:"p" ~direction:Port.Input ~net:0 ])
 
+(* The Hashtbl-and-sort [Circuit.make] the current one replaced, kept
+   as the reference: same checks, same order, same messages, same
+   [net_devices]. *)
+let reference_make ~name ~devices ~nets ~ports =
+  if String.length name = 0 then invalid_arg "Circuit.make: empty name";
+  let devices = Array.of_list devices in
+  let nets = Array.of_list nets in
+  let ports = Array.of_list ports in
+  let check_dense_indices what get arr =
+    Array.iteri
+      (fun i x ->
+        if get x <> i then
+          invalid_arg
+            (Printf.sprintf "Circuit.make: %s index %d at position %d" what
+               (get x) i))
+      arr
+  in
+  let check_unique_names what get arr =
+    let seen = Hashtbl.create 64 in
+    Array.iter
+      (fun x ->
+        let n = get x in
+        if Hashtbl.mem seen n then
+          invalid_arg (Printf.sprintf "Circuit.make: duplicate %s name %s" what n);
+        Hashtbl.add seen n ())
+      arr
+  in
+  check_dense_indices "device" (fun (d : Device.t) -> d.index) devices;
+  check_dense_indices "net" (fun (n : Net.t) -> n.index) nets;
+  check_unique_names "device" (fun (d : Device.t) -> d.name) devices;
+  check_unique_names "net" (fun (n : Net.t) -> n.name) nets;
+  check_unique_names "port" (fun (p : Port.t) -> p.name) ports;
+  let net_count = Array.length nets in
+  let in_range what n =
+    if n < 0 || n >= net_count then
+      invalid_arg (Printf.sprintf "Circuit.make: %s references net %d" what n)
+  in
+  Array.iter
+    (fun (d : Device.t) -> Array.iter (in_range ("device " ^ d.name)) d.pins)
+    devices;
+  Array.iter (fun (p : Port.t) -> in_range ("port " ^ p.name) p.net) ports;
+  let members = Array.make net_count [] in
+  Array.iter
+    (fun (d : Device.t) ->
+      List.iter (fun n -> members.(n) <- d.index :: members.(n)) (Device.nets d))
+    devices;
+  Array.map (fun ds -> Array.of_list (List.sort Int.compare ds)) members
+
+(* Mostly well-formed inputs, with a small name alphabet (so duplicate
+   names happen), occasional index slips and pins out of range. *)
+let circuit_parts =
+  let open QCheck2.Gen in
+  let name = string_size ~gen:(char_range 'a' 'h') (1 -- 2) in
+  let slip i = frequency [ (40, return i); (1, int_range (-1) (i + 1)) ] in
+  let* net_count = 0 -- 8 in
+  let* nets =
+    flatten_l
+      (List.init net_count (fun i ->
+           map2 (fun index name -> { Net.index; name }) (slip i) name))
+  in
+  let pin =
+    frequency
+      [ (40, if net_count = 0 then return 0 else int_bound (net_count - 1));
+        (1, oneofl [ -1; net_count ]) ]
+  in
+  let* device_count = 0 -- 8 in
+  let* devices =
+    flatten_l
+      (List.init device_count (fun i ->
+           map3
+             (fun index name pins -> { Device.index; name; kind = "inv"; pins })
+             (slip i) name
+             (array_size (0 -- 4) pin)))
+  in
+  let* ports =
+    list_size (0 -- 3)
+      (map2 (fun name net -> { Port.name; direction = Port.Input; net }) name pin)
+  in
+  return (devices, nets, ports)
+
+let circuit_make_prop =
+  S.qtest ~count:1000 "make matches the reference: errors and net_devices"
+    circuit_parts (fun (devices, nets, ports) ->
+      let outcome f =
+        match f () with
+        | v -> Ok v
+        | exception Invalid_argument msg -> Error msg
+      in
+      outcome (fun () ->
+          (Circuit.make ~name:"c" ~technology:"t" ~devices ~nets ~ports)
+            .net_devices)
+      = outcome (fun () -> reference_make ~name:"c" ~devices ~nets ~ports))
+
 let test_circuit_connectivity () =
   let c = S.tiny () in
   Alcotest.(check int) "devices" 2 (Circuit.device_count c);
@@ -252,6 +345,100 @@ let canonical_props =
         not (String.equal d (Canonical.digest mutated)));
   ]
 
+(* The Printf-based canonical renderer the store's keys were first
+   defined with, kept as the byte-for-byte reference. *)
+let printf_canonical (c : Circuit.t) =
+  let add_quoted buf s = Buffer.add_string buf (Printf.sprintf "%S" s) in
+  let add_line buf fmt =
+    Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt
+  in
+  let buf = Buffer.create 1024 in
+  add_line buf "mae-canonical 1";
+  add_line buf "circuit %S technology %S" c.name c.technology;
+  let net_name i = (c.nets.(i) : Net.t).name in
+  let devices =
+    Array.to_list c.devices
+    |> List.sort (fun (a : Device.t) (b : Device.t) ->
+           String.compare a.name b.name)
+  in
+  List.iter
+    (fun (d : Device.t) ->
+      Buffer.add_string buf "device ";
+      add_quoted buf d.name;
+      Buffer.add_string buf " kind ";
+      add_quoted buf d.kind;
+      Buffer.add_string buf " pins";
+      Array.iter
+        (fun n ->
+          Buffer.add_char buf ' ';
+          add_quoted buf (net_name n))
+        d.pins;
+      Buffer.add_char buf '\n')
+    devices;
+  let nets =
+    Array.to_list c.nets
+    |> List.map (fun (n : Net.t) -> n.name)
+    |> List.sort String.compare
+  in
+  List.iter (fun n -> add_line buf "net %S" n) nets;
+  let ports =
+    Array.to_list c.ports
+    |> List.sort (fun (a : Port.t) (b : Port.t) -> String.compare a.name b.name)
+  in
+  List.iter
+    (fun (p : Port.t) ->
+      add_line buf "port %S %s %S" p.name
+        (Port.direction_to_string p.direction)
+        (net_name p.net))
+    ports;
+  Buffer.contents buf
+
+(* Names drawn from the bytes escaping treats specially: quotes,
+   backslashes, newlines and other control bytes, DEL and bytes of
+   0x80 and above, mixed with plain letters. *)
+let hostile_name =
+  let open QCheck2.Gen in
+  let byte =
+    frequency
+      [ (3, char_range 'a' 'e');
+        (1, oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '\000'; '\001'; '\x7f'; ' ' ]);
+        (1, map Char.chr (int_range 0x80 0xff)) ]
+  in
+  string_size ~gen:byte (1 -- 6)
+
+let hostile_circuit =
+  let open QCheck2.Gen in
+  let* name = hostile_name and* technology = hostile_name in
+  let* nets = list_size (1 -- 12) hostile_name in
+  let nets = Array.of_list nets in
+  let pin = map (fun i -> nets.(i)) (int_bound (Array.length nets - 1)) in
+  let* devices =
+    list_size (0 -- 12)
+      (triple hostile_name hostile_name (list_size (1 -- 4) pin))
+  in
+  let* ports =
+    list_size (0 -- 4)
+      (triple hostile_name (oneofl [ Port.Input; Port.Output; Port.Inout ]) pin)
+  in
+  let b = Builder.create ~name ~technology in
+  (* a position suffix keeps instance and port names unique *)
+  List.iteri
+    (fun i (n, kind, pins) ->
+      ignore
+        (Builder.add_device b ~name:(n ^ string_of_int i) ~kind ~nets:pins))
+    devices;
+  List.iteri
+    (fun i (n, direction, net) ->
+      Builder.add_port b ~name:(n ^ string_of_int i) ~direction ~net)
+    ports;
+  Array.iter (fun n -> ignore (Builder.net b n)) nets;
+  return (Builder.build b)
+
+let canonical_bytes_prop =
+  S.qtest ~count:300 "canonical bytes match the Printf reference"
+    hostile_circuit (fun c ->
+      String.equal (Canonical.to_string c) (printf_canonical c))
+
 let test_canonical_is_structural () =
   (* two independently built but identical tiny circuits *)
   let a = S.tiny () and b = S.tiny () in
@@ -287,6 +474,7 @@ let () =
         [
           Alcotest.test_case "validation" `Quick test_circuit_validation;
           Alcotest.test_case "connectivity" `Quick test_circuit_connectivity;
+          circuit_make_prop;
         ] );
       ("builder", [ Alcotest.test_case "net reuse" `Quick test_builder_net_reuse ]);
       ( "stats",
@@ -303,6 +491,6 @@ let () =
       ( "canonical",
         Alcotest.test_case "digest is structural" `Quick
           test_canonical_is_structural
-        :: canonical_props );
+        :: canonical_bytes_prop :: canonical_props );
       ("properties", props);
     ]

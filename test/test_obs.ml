@@ -50,6 +50,41 @@ let test_json_parser () =
   | Ok (Json.String s) -> Alcotest.(check string) "round trip" tricky s
   | _ -> Alcotest.fail "escape round trip"
 
+(* [parse_sub] reads a window of a larger buffer exactly as [parse]
+   reads that window copied out: same values, same errors, same error
+   offsets (counted from the window's start). *)
+let json_window_prop =
+  let open QCheck2.Gen in
+  let doc =
+    let leaf =
+      oneof
+        [ return Json.Null; map (fun b -> Json.Bool b) bool;
+          map (fun i -> Json.Number (float_of_int i)) small_signed_int;
+          map (fun s -> Json.String s) (string_size ~gen:char (0 -- 8)) ]
+    in
+    let field = pair (string_size ~gen:printable (0 -- 4)) leaf in
+    oneof
+      [ leaf; map (fun l -> Json.Array l) (list_size (0 -- 4) leaf);
+        map (fun l -> Json.Object l) (list_size (0 -- 4) field) ]
+  in
+  let junk = string_size ~gen:(oneofl [ ' '; '{'; '"'; '\\'; 'x'; '1'; ']' ]) (0 -- 6) in
+  let case =
+    let* pre = junk and* d = doc and* post = junk in
+    let text = pre ^ Json.encode d ^ post in
+    let n = String.length text in
+    let* off = frequency [ (3, return (String.length pre)); (1, int_bound n) ] in
+    let* len =
+      frequency
+        [ (3, return (min (n - off) (String.length (Json.encode d))));
+          (1, int_bound (n - off)) ]
+    in
+    return (text, off, len)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"parse_sub = parse of the window" case
+       (fun (text, off, len) ->
+         Json.parse_sub text ~off ~len = Json.parse (String.sub text off len)))
+
 (* --- spans --- *)
 
 let test_span_recording () =
@@ -771,7 +806,9 @@ let test_capture_retention () =
 let () =
   Alcotest.run "obs"
     [
-      ("json", [ Alcotest.test_case "parser + escape" `Quick test_json_parser ]);
+      ( "json",
+        [ Alcotest.test_case "parser + escape" `Quick test_json_parser;
+          json_window_prop ] );
       ( "spans",
         [
           Alcotest.test_case "recording, nesting, self time" `Quick

@@ -176,17 +176,26 @@ let line_oversize_resync () =
   let e = estimate_exn "resynced" (est_line "after" ^ "\n") in
   Alcotest.(check string) "post-resync hdl" "after" e.P.hdl
 
+(* [at pad buf]: [buf] behind [pad] bytes of already-consumed input,
+   and the offset to decode it from -- the transport's view of a
+   connection buffer holding earlier frames. *)
+let at pad buf = (pad, String.make pad '#' ^ buf)
+
 (* Split-read invariance: any prefix of a request line Awaits, and the
    frame decoded from the full buffer is independent of how the bytes
-   arrived. *)
+   arrived -- and of where in the connection buffer they sit. *)
 let split_read_prop =
   let line = est_line ~id:(Json.Number 42.) "circuit split; end split" in
-  let gen = QCheck2.Gen.int_bound (String.length line - 1) in
-  S.qtest ~count:100 "line split-read invariance" gen (fun cut ->
+  let gen = QCheck2.Gen.(pair (int_bound (String.length line - 1)) (0 -- 64)) in
+  S.qtest ~count:100 "line split-read invariance" gen (fun (cut, pad) ->
       let prefix = String.sub line 0 cut in
-      (match decode P.initial prefix with
-      | P.Await -> ()
+      let off, padded = at pad prefix in
+      (match (decode P.initial prefix, P.decode ~off ~max_bytes P.initial padded) with
+      | P.Await, P.Await -> ()
       | _ -> QCheck2.Test.fail_report "prefix must Await");
+      let off, padded = at pad (line ^ "\n") in
+      decode P.initial (line ^ "\n") = P.decode ~off ~max_bytes P.initial padded
+      &&
       match decode P.initial (line ^ "\n") with
       | P.Frame (f, P.Ready, consumed) ->
           consumed = String.length line + 1
@@ -328,15 +337,61 @@ let http_split_prop =
     Printf.sprintf "POST /estimate HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
       (String.length body) body
   in
-  let gen = QCheck2.Gen.int_bound (String.length req - 1) in
-  S.qtest ~count:100 "http split-read invariance" gen (fun cut ->
-      (match decode P.initial (String.sub req 0 cut) with
-      | P.Await -> ()
+  let gen = QCheck2.Gen.(pair (int_bound (String.length req - 1)) (0 -- 64)) in
+  S.qtest ~count:100 "http split-read invariance" gen (fun (cut, pad) ->
+      let off, padded = at pad (String.sub req 0 cut) in
+      (match
+         (decode P.initial (String.sub req 0 cut),
+          P.decode ~off ~max_bytes P.initial padded)
+       with
+      | P.Await, P.Await -> ()
       | _ -> QCheck2.Test.fail_report "http prefix must Await");
+      let off, padded = at pad req in
+      decode P.initial req = P.decode ~off ~max_bytes P.initial padded
+      &&
       match decode P.initial req with
       | P.Frame ({ P.request = P.Estimate { id; _ }; _ }, P.Ready, consumed) ->
           consumed = String.length req && id = Json.Number 9.
       | _ -> false)
+
+(* Framing is linear in the bytes received: 512 pipelined 3 KiB POSTs
+   in one buffer decode, front to back at their offsets, into exactly
+   the frames each decodes to alone, well inside 2 s.  A decoder that
+   scans or copies the whole rest of the buffer per frame is quadratic
+   in the pipeline depth: one allocating a substring per offset, per
+   frame, measured about 2 s for 256 such requests and 8 s for 512,
+   hence 512. *)
+let http_pipeline_linear () =
+  let max_bytes = 8 * 1024 * 1024 in
+  let request i =
+    let hdl = String.make 3000 'x' ^ string_of_int i in
+    let body = est_line ~id:(Json.Number (float_of_int i)) hdl in
+    Printf.sprintf
+      "POST /estimate HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n%s"
+      (String.length body) body
+  in
+  let requests = List.init 512 request in
+  let buf = String.concat "" requests in
+  let t0 = Unix.gettimeofday () in
+  let rec drain off acc =
+    if off = String.length buf then List.rev acc
+    else
+      match P.decode ~off ~max_bytes P.initial buf with
+      | P.Frame (f, P.Ready, k) -> drain (off + k) ((f, k) :: acc)
+      | _ -> Alcotest.failf "pipelined buffer stalled at offset %d" off
+  in
+  let frames = drain 0 [] in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check int) "one frame per request" 512 (List.length frames);
+  List.iter2
+    (fun req got ->
+      match P.decode ~max_bytes P.initial req with
+      | P.Frame (f, P.Ready, k) ->
+          if got <> (f, k) then Alcotest.fail "pipelined frame differs from its solo decode"
+      | _ -> Alcotest.fail "solo request did not decode")
+    requests frames;
+  if elapsed > 2.0 then
+    Alcotest.failf "512 pipelined requests took %.2f s to decode (bound 2 s)" elapsed
 
 (* --- responses --- *)
 
@@ -430,7 +485,9 @@ let () =
           Alcotest.test_case "keep-alive negotiation" `Quick http_keep_alive;
           Alcotest.test_case "POST estimates" `Quick http_post;
           Alcotest.test_case "adversarial headers" `Quick http_adversarial;
-          Alcotest.test_case "split reads" `Quick http_split_reads ] );
+          Alcotest.test_case "split reads" `Quick http_split_reads;
+          Alcotest.test_case "pipelined decode is linear" `Quick
+            http_pipeline_linear ] );
       ( "protocol-encode",
         [ Alcotest.test_case "line responses" `Quick encode_line;
           Alcotest.test_case "http responses" `Quick encode_http;

@@ -49,7 +49,21 @@ let test_process_lookup () =
   S.check_float "inv area" (8. *. 40.)
     (Option.get (Process.device_area p "inv"));
   Alcotest.check_raises "find_device_exn" Not_found (fun () ->
-      ignore (Process.find_device_exn p "zzz"))
+      ignore (Process.find_device_exn p "zzz"));
+  (* the fingerprint is stored at construction: replacing the device
+     table must store the new table's, not copy the old one *)
+  let fewer = List.filter (fun (d : Device_kind.t) -> d.name <> "inv") p.devices in
+  let rebuilt =
+    Process.make ~name:p.name ~lambda_microns:p.lambda_microns
+      ~row_height:p.row_height ~track_pitch:p.track_pitch
+      ~feed_through_width:p.feed_through_width ~port_pitch:p.port_pitch
+      ~min_spacing:p.min_spacing ~devices:fewer
+  in
+  Alcotest.(check string) "with_devices refingerprints"
+    (Process.fingerprint rebuilt)
+    (Process.fingerprint (Process.with_devices p fewer));
+  Alcotest.(check bool) "fewer kinds, new fingerprint" false
+    (String.equal (Process.fingerprint p) (Process.fingerprint rebuilt))
 
 let test_builtin_consistency () =
   List.iter
