@@ -1,12 +1,12 @@
 type t = {
   name : string;
   technology : string;
-  net_index : int Name_table.t;
+  net_index : (string, int) Hashtbl.t;
   mutable nets_rev : Net.t list;
   mutable devices_rev : Device.t list;
   mutable ports_rev : Port.t list;
-  device_names : unit Name_table.t;
-  port_names : unit Name_table.t;
+  device_names : (string, unit) Hashtbl.t;
+  port_names : (string, unit) Hashtbl.t;
   mutable net_count : int;
   mutable device_count : int;
 }
@@ -15,30 +15,30 @@ let create ~name ~technology =
   {
     name;
     technology;
-    net_index = Name_table.create 64;
+    net_index = Hashtbl.create 64;
     nets_rev = [];
     devices_rev = [];
     ports_rev = [];
-    device_names = Name_table.create 64;
-    port_names = Name_table.create 16;
+    device_names = Hashtbl.create 64;
+    port_names = Hashtbl.create 16;
     net_count = 0;
     device_count = 0;
   }
 
 let net t name =
-  match Name_table.find t.net_index name with
-  | i -> i
-  | exception Not_found ->
+  match Hashtbl.find_opt t.net_index name with
+  | Some i -> i
+  | None ->
       let index = t.net_count in
       t.net_count <- index + 1;
-      Name_table.add t.net_index name index;
+      Hashtbl.add t.net_index name index;
       t.nets_rev <- Net.make ~index ~name :: t.nets_rev;
       index
 
 let add_device t ~name ~kind ~nets =
-  if Name_table.mem t.device_names name then
+  if Hashtbl.mem t.device_names name then
     invalid_arg ("Builder.add_device: duplicate instance " ^ name);
-  Name_table.add t.device_names name ();
+  Hashtbl.add t.device_names name ();
   let pins = Array.of_list (List.map (net t) nets) in
   let index = t.device_count in
   t.device_count <- index + 1;
@@ -46,9 +46,9 @@ let add_device t ~name ~kind ~nets =
   index
 
 let add_port t ~name ~direction ~net:net_name =
-  if Name_table.mem t.port_names name then
+  if Hashtbl.mem t.port_names name then
     invalid_arg ("Builder.add_port: duplicate port " ^ name);
-  Name_table.add t.port_names name ();
+  Hashtbl.add t.port_names name ();
   t.ports_rev <- Port.make ~name ~direction ~net:(net t net_name) :: t.ports_rev
 
 let device_count t = t.device_count

@@ -16,24 +16,14 @@ let check_dense_indices what get arr =
     arr
 
 let check_unique_names what get arr =
-  let seen = Name_table.create (Array.length arr) in
+  let seen = Hashtbl.create (Array.length arr) in
   Array.iter
     (fun x ->
       let n = get x in
-      if Name_table.mem seen n then
+      if Hashtbl.mem seen n then
         invalid_arg (Printf.sprintf "Circuit.make: duplicate %s name %s" what n);
-      Name_table.add seen n ())
+      Hashtbl.add seen n ())
     arr
-
-(* Whether pin [k] is the first of [pins] on its net: a device touching
-   one net through several pins is one member of that net. *)
-let first_pin (pins : int array) k =
-  let n = pins.(k) in
-  let j = ref 0 in
-  while !j < k && pins.(!j) <> n do
-    incr j
-  done;
-  !j = k
 
 let make ~name ~technology ~devices ~nets ~ports =
   if String.length name = 0 then invalid_arg "Circuit.make: empty name";
@@ -59,26 +49,34 @@ let make ~name ~technology ~devices ~nets ~ports =
     devices;
   Array.iter (fun (p : Port.t) -> in_range "port" p.name p.net) ports;
   (* [net_devices] by counting: devices are visited in index order, so
-     each net's array fills ascending with no sort *)
+     each net's array fills ascending with no sort.  A device touching
+     one net through several pins is one member of it: [last.(n)] is
+     the last device counted on net [n]. *)
   let degree = Array.make net_count 0 in
+  let last = Array.make net_count (-1) in
   Array.iter
     (fun (d : Device.t) ->
-      for k = 0 to Array.length d.pins - 1 do
-        if first_pin d.pins k then
-          degree.(d.pins.(k)) <- degree.(d.pins.(k)) + 1
-      done)
+      Array.iter
+        (fun n ->
+          if last.(n) <> d.index then begin
+            last.(n) <- d.index;
+            degree.(n) <- degree.(n) + 1
+          end)
+        d.pins)
     devices;
   let net_devices = Array.map (fun k -> Array.make k 0) degree in
   let fill = Array.make net_count 0 in
+  Array.fill last 0 net_count (-1);
   Array.iter
     (fun (d : Device.t) ->
-      for k = 0 to Array.length d.pins - 1 do
-        let n = d.pins.(k) in
-        if first_pin d.pins k then begin
-          net_devices.(n).(fill.(n)) <- d.index;
-          fill.(n) <- fill.(n) + 1
-        end
-      done)
+      Array.iter
+        (fun n ->
+          if last.(n) <> d.index then begin
+            last.(n) <- d.index;
+            net_devices.(n).(fill.(n)) <- d.index;
+            fill.(n) <- fill.(n) + 1
+          end)
+        d.pins)
     devices;
   { name; technology; devices; nets; ports; net_devices }
 

@@ -56,10 +56,17 @@ type decoder = Ready | Discard_line
 
 let initial = Ready
 
+(* What a partial frame waits for, so the transport re-decodes it only
+   when it can complete: the frame starts at position 0 of the buffer. *)
+type wait =
+  | Bytes of int  (* the buffer holds this many bytes *)
+  | Newline of int  (* a '\n' arrives, or the buffer exceeds this size *)
+  | Head_end of int  (* a head terminator arrives, or the buffer exceeds this *)
+
 type step =
   | Frame of frame * decoder * int
   | Skip of decoder * int
-  | Await
+  | Await of wait
 
 (* --- the request body: one JSON document --- *)
 
@@ -174,7 +181,7 @@ let decode_line ~max_bytes buf off =
               framing = Line;
               bytes = n },
             Discard_line, n )
-      else Await
+      else Await (Newline max_bytes)
 
 (* --- HTTP dialect --- *)
 
@@ -277,7 +284,7 @@ let decode_http ~max_bytes buf off =
               framing = Http { version = V10; keep_alive = false };
               bytes = n },
             Ready, n )
-      else Await
+      else Await (Head_end max_head_bytes)
   | Some (head_end, body_start) -> begin
       let body_off = body_start - off in
       let closing err status =
@@ -315,7 +322,7 @@ let decode_http ~max_bytes buf off =
                       framing = Http { version; keep_alive = false };
                       bytes = n },
                     Ready, n )
-              else if n - body_off < body_len then Await
+              else if n - body_off < body_len then Await (Bytes (body_off + body_len))
               else begin
                 let consumed = body_off + body_len in
                 let path = strip_query h.target in
@@ -349,7 +356,7 @@ let decode_http ~max_bytes buf off =
 
 let decode ?(off = 0) ~max_bytes state buf =
   if off < 0 || off > String.length buf then invalid_arg "Protocol.decode: offset";
-  if String.length buf = off then Await
+  if String.length buf = off then Await (Bytes 1)
   else
     match state with
     | Discard_line -> begin
@@ -359,10 +366,29 @@ let decode ?(off = 0) ~max_bytes state buf =
       end
     | Ready -> begin
         match looks_http buf off with
-        | `Maybe -> Await
+        | `Maybe -> Await (Bytes (String.length buf - off + 1))
         | `Yes -> decode_http ~max_bytes buf off
         | `No -> decode_line ~max_bytes buf off
       end
+
+(* Whether the bytes of [buf] from [from] on may complete the frame
+   awaiting [wait]: one look at each new byte, and the 3 before it for
+   a head terminator (a "\n\n" or "\r\n\r\n" ending at [i]). *)
+let resumes wait buf ~from =
+  let len = Buffer.length buf in
+  let byte i = if i < 0 then '\000' else Buffer.nth buf i in
+  let rec arrives ends_at i = i < len && (ends_at i || arrives ends_at (i + 1)) in
+  match wait with
+  | Bytes need -> len >= need
+  | Newline limit -> len > limit || arrives (fun i -> byte i = '\n') from
+  | Head_end limit ->
+      len > limit
+      || arrives
+           (fun i ->
+             byte i = '\n'
+             && (byte (i - 1) = '\n'
+                || (byte (i - 1) = '\r' && byte (i - 2) = '\n' && byte (i - 3) = '\r')))
+           from
 
 (* --- responses --- *)
 

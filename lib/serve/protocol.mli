@@ -48,12 +48,20 @@ type decoder = Ready | Discard_line
 
 val initial : decoder
 
+(** What a partial frame waits for.  Decoding it again returns [Await]
+    until this happens; sizes count from the frame's first byte. *)
+type wait =
+  | Bytes of int  (** the frame's bytes reach this count *)
+  | Newline of int  (** a ['\n'] arrives, or the bytes exceed this limit *)
+  | Head_end of int
+      (** an HTTP head terminator arrives, or the bytes exceed this limit *)
+
 type step =
   | Frame of frame * decoder * int
       (** one decoded frame, the successor state, bytes consumed *)
   | Skip of decoder * int  (** consumed bytes carry no frame (blank
           lines, discarded oversize tail) *)
-  | Await  (** need more bytes *)
+  | Await of wait  (** need more bytes *)
 
 val decode : ?off:int -> max_bytes:int -> decoder -> string -> step
 (** [decode ?off ~max_bytes state buf] inspects [buf] from [off]
@@ -66,6 +74,13 @@ val decode : ?off:int -> max_bytes:int -> decoder -> string -> step
     stops at the first line or head terminator, and bytes buffered
     behind the frame (pipelined requests) are neither scanned nor
     copied.  Raises [Invalid_argument] when [off] is outside [buf]. *)
+
+val resumes : wait -> Buffer.t -> from:int -> bool
+(** [resumes wait buf ~from]: whether the bytes of [buf] at and after
+    [from] (those received since the [Await]) may let the frame at the
+    start of [buf] decode.  It looks at each new byte once (and at the
+    three before it), so a connection re-decodes a frame that arrives
+    in many reads only when it can complete, not once per read. *)
 
 (** {1 Responses} *)
 

@@ -141,6 +141,7 @@ type conn = {
   peer : string;
   rbuf : Buffer.t;
   mutable decoder : Protocol.decoder;
+  mutable wait : Protocol.wait;  (** what the frame at the start of [rbuf] awaits *)
   mutable last_activity : float;  (** monotonic, for idle reaping *)
   mutable frames_in : int;  (** frames decoded on this connection *)
   mutable pending : int;  (** submitted jobs not yet answered *)
@@ -232,6 +233,7 @@ let accept t listener plane =
             peer;
             rbuf = Buffer.create 512;
             decoder = Protocol.initial;
+            wait = Protocol.Bytes 1;
             last_activity = Mae_obs.Clock.monotonic ();
             frames_in = 0;
             pending = 0;
@@ -252,18 +254,25 @@ let accept t listener plane =
    connection on a framing error) or queue the frame; the loop stops
    the moment the connection dies.  Frames decode in place at their
    offset, so a deep pipeline costs one copy of the buffer, not one
-   per frame. *)
+   per frame; a partial frame left at the end is moved to the start of
+   the buffer and what it awaits is kept in [conn.wait]. *)
 let deliver_frames t conn ~handle =
   let data = Buffer.contents conn.rbuf in
   let len = String.length data in
   let rec go pos =
-    if conn.dead || pos >= len then pos
+    if conn.dead then pos
+    else if pos >= len then begin
+      conn.wait <- Protocol.Bytes 1;
+      pos
+    end
     else begin
       match
         Protocol.decode ~off:pos ~max_bytes:t.config.max_request_bytes
           conn.decoder data
       with
-      | Protocol.Await -> pos
+      | Protocol.Await w ->
+          conn.wait <- w;
+          pos
       | Protocol.Skip (d, k) ->
           conn.decoder <- d;
           go (pos + k)
@@ -301,6 +310,7 @@ let service t conn ~handle =
         if total = 0 then `Nothing else `Data total
     | exception Unix.Unix_error _ -> `Err
   in
+  let received = Buffer.length conn.rbuf in
   match fill 0 with
   | `Nothing -> ()
   | `Err -> close t conn
@@ -313,7 +323,10 @@ let service t conn ~handle =
       if conn.pending = 0 then close t conn else conn.closing <- true
   | `Data _ ->
       conn.last_activity <- Mae_obs.Clock.monotonic ();
-      deliver_frames t conn ~handle
+      (* a frame arriving over many reads is copied and decoded only
+         once it can complete, keeping framing linear in its size *)
+      if Protocol.resumes conn.wait conn.rbuf ~from:received then
+        deliver_frames t conn ~handle
 
 let reap t =
   let now = Mae_obs.Clock.monotonic () in

@@ -26,6 +26,9 @@ type conn = {
   peer : string;
   rbuf : Buffer.t;
   mutable decoder : Protocol.decoder;
+  mutable wait : Protocol.wait;
+      (** what the partial frame at the start of [rbuf] awaits: a read
+          re-decodes the buffer only once {!Protocol.resumes} says so *)
   mutable last_activity : float;
   mutable frames_in : int;
   mutable pending : int;

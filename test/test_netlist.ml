@@ -134,6 +134,32 @@ let circuit_make_prop =
             .net_devices)
       = outcome (fun () -> reference_make ~name:"c" ~devices ~nets ~ports))
 
+(* A device's pin list comes straight from request HDL, with no bound on
+   its length: construction must stay near-linear in the pins.  One
+   device on 100k distinct nets, then one on a single net through 100k
+   pins.  A per-pin scan of the earlier pins is quadratic: over 10 s. *)
+let test_circuit_wide_device () =
+  let pins = 100_000 in
+  let t0 = Unix.gettimeofday () in
+  let b = Builder.create ~name:"wide" ~technology:"t" in
+  ignore
+    (Builder.add_device b ~name:"u" ~kind:"inv"
+       ~nets:(List.init pins (fun i -> "n" ^ string_of_int i)));
+  let wide = Builder.build b in
+  let nets = List.init pins (fun index -> Net.make ~index ~name:(string_of_int index)) in
+  let same =
+    Circuit.make ~name:"same" ~technology:"t"
+      ~devices:[ Device.make ~index:0 ~name:"u" ~kind:"inv" ~pins:(Array.make pins 7) ]
+      ~nets ~ports:[]
+  in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check int) "wide: every net holds the device" pins
+    (Array.fold_left (fun acc ds -> acc + Array.length ds) 0 wide.net_devices);
+  Alcotest.(check bool) "same: one member" true
+    (Circuit.devices_on_net same 7 = [| 0 |] && Circuit.degree same 8 = 0);
+  if elapsed > 2.0 then
+    Alcotest.failf "two 100k-pin devices took %.2f s to build (bound 2 s)" elapsed
+
 let test_circuit_connectivity () =
   let c = S.tiny () in
   Alcotest.(check int) "devices" 2 (Circuit.device_count c);
@@ -474,6 +500,8 @@ let () =
         [
           Alcotest.test_case "validation" `Quick test_circuit_validation;
           Alcotest.test_case "connectivity" `Quick test_circuit_connectivity;
+          Alcotest.test_case "wide device is near-linear" `Quick
+            test_circuit_wide_device;
           circuit_make_prop;
         ] );
       ("builder", [ Alcotest.test_case "net reuse" `Quick test_builder_net_reuse ]);

@@ -22,7 +22,7 @@ let frame_exn what buf =
   match decode P.initial buf with
   | P.Frame (f, dec, consumed) -> (f, dec, consumed)
   | P.Skip _ -> Alcotest.failf "%s: expected a frame, got Skip" what
-  | P.Await -> Alcotest.failf "%s: expected a frame, got Await" what
+  | P.Await _ -> Alcotest.failf "%s: expected a frame, got Await" what
 
 let request_exn what buf =
   let f, _, _ = frame_exn what buf in
@@ -93,10 +93,10 @@ let line_blank_and_await () =
   | P.Skip (P.Ready, 2) -> ()
   | _ -> Alcotest.fail "blank CRLF line should Skip 2 bytes");
   (match decode P.initial "" with
-  | P.Await -> ()
+  | P.Await _ -> ()
   | _ -> Alcotest.fail "empty buffer should Await");
   match decode P.initial "{\"id\": 1" with
-  | P.Await -> ()
+  | P.Await _ -> ()
   | _ -> Alcotest.fail "partial line should Await"
 
 let line_request_errors () =
@@ -191,7 +191,7 @@ let split_read_prop =
       let prefix = String.sub line 0 cut in
       let off, padded = at pad prefix in
       (match (decode P.initial prefix, P.decode ~off ~max_bytes P.initial padded) with
-      | P.Await, P.Await -> ()
+      | P.Await _, P.Await _ -> ()
       | _ -> QCheck2.Test.fail_report "prefix must Await");
       let off, padded = at pad (line ^ "\n") in
       decode P.initial (line ^ "\n") = P.decode ~off ~max_bytes P.initial padded
@@ -312,15 +312,15 @@ let http_split_reads () =
   in
   (* Method prefix: could still become "GET ", so the decoder waits. *)
   (match decode P.initial "PO" with
-  | P.Await -> ()
+  | P.Await _ -> ()
   | _ -> Alcotest.fail "method prefix should Await");
   (* Head not yet terminated. *)
   (match decode P.initial "POST /estimate HTTP/1.1\r\nContent-Le" with
-  | P.Await -> ()
+  | P.Await _ -> ()
   | _ -> Alcotest.fail "partial head should Await");
   (* Head complete, body still in flight. *)
   (match decode P.initial (String.sub req 0 (String.length req - 4)) with
-  | P.Await -> ()
+  | P.Await _ -> ()
   | _ -> Alcotest.fail "partial body should Await");
   let f, _, consumed = frame_exn "complete POST" (req ^ "GET /") in
   Alcotest.(check int) "consumes exactly one request" (String.length req)
@@ -344,7 +344,7 @@ let http_split_prop =
          (decode P.initial (String.sub req 0 cut),
           P.decode ~off ~max_bytes P.initial padded)
        with
-      | P.Await, P.Await -> ()
+      | P.Await _, P.Await _ -> ()
       | _ -> QCheck2.Test.fail_report "http prefix must Await");
       let off, padded = at pad req in
       decode P.initial req = P.decode ~off ~max_bytes P.initial padded
@@ -393,6 +393,118 @@ let http_pipeline_linear () =
   if elapsed > 2.0 then
     Alcotest.failf "512 pipelined requests took %.2f s to decode (bound 2 s)" elapsed
 
+(* [trickle ~read input]: [input] arriving [read] bytes at a time, run
+   the way a connection runs it -- append, and decode the buffer only
+   when [P.resumes] says the frame at its start may complete ([~gate],
+   default true; false decodes after every read).  Returns the frames
+   in order and how many times the buffer was decoded. *)
+let trickle ?(max_bytes = max_bytes) ?(gate = true) ~read input =
+  let buf = Buffer.create 64 in
+  let state = ref P.initial and wait = ref (P.Bytes 1) in
+  let frames = ref [] and decodes = ref 0 in
+  let deliver () =
+    incr decodes;
+    let data = Buffer.contents buf in
+    let rec go pos =
+      if pos = String.length data then begin
+        wait := P.Bytes 1;
+        pos
+      end
+      else
+        match P.decode ~off:pos ~max_bytes !state data with
+        | P.Await w ->
+            wait := w;
+            pos
+        | P.Skip (d, k) ->
+            state := d;
+            go (pos + k)
+        | P.Frame (f, d, k) ->
+            state := d;
+            frames := f :: !frames;
+            go (pos + k)
+    in
+    let consumed = go 0 in
+    Buffer.clear buf;
+    Buffer.add_substring buf data consumed (String.length data - consumed)
+  in
+  let rec feed pos =
+    if pos < String.length input then begin
+      let k = min read (String.length input - pos) in
+      let from = Buffer.length buf in
+      Buffer.add_substring buf input pos k;
+      if (not gate) || P.resumes !wait buf ~from then deliver ();
+      feed (pos + k)
+    end
+  in
+  feed 0;
+  (List.rev !frames, !decodes)
+
+(* The wait an [Await] reports never hides a frame: for any stream of
+   requests -- line and HTTP, CRLF and bare-LF heads, oversized lines
+   and bodies, blank lines -- read in pieces of any size, decoding only
+   when [P.resumes] says so yields the frames that decoding after every
+   read does.  (Oversized input is answered by how much had arrived, so
+   the reference is per-read decoding, not one decode of the whole.) *)
+let trickle_prop =
+  let http ?(eol = "\r\n") body =
+    Printf.sprintf "POST /estimate HTTP/1.1%sContent-Length: %d%s%s%s" eol
+      (String.length body) eol eol body
+  in
+  let pool =
+    [| est_line "circuit a; end a" ^ "\n";
+       est_line "circuit b; end b" ^ "\r\n";
+       "\n";
+       http (est_line "circuit c; end c");
+       http ~eol:"\n" (est_line "circuit d; end d");
+       "GET /healthz HTTP/1.1\r\nHost: x\r\nX-A: \r\n\r\n";
+       "GET /metrics HTTP/1.1\nX-B: \r\n\n";
+       String.make (max_bytes + 5) 'z' ^ "\n";
+       http (String.make (max_bytes + 5) 'b') |]
+  in
+  let gen =
+    QCheck2.Gen.(
+      pair (list_size (1 -- 5) (int_bound (Array.length pool - 1))) (1 -- 64))
+  in
+  S.qtest ~count:300 "trickled reads decode the same frames" gen
+    (fun (picks, read) ->
+      let input = String.concat "" (List.map (Array.get pool) picks) in
+      fst (trickle ~read input) = fst (trickle ~gate:false ~read input))
+
+(* A frame arriving over many reads is decoded once it can complete,
+   not once per read: a 1 MiB body or line in 1 KiB reads, and a head
+   trickled a byte at a time through lines ending "\n" and "\r\n". *)
+let trickle_decodes_once () =
+  let max_bytes = 8 * 1024 * 1024 in
+  let hdl = String.make (1024 * 1024) 'h' in
+  let body = est_line hdl in
+  let post =
+    Printf.sprintf "POST /estimate HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+      (String.length body) body
+  in
+  let check what input ~read ~most =
+    let frames, decodes = trickle ~max_bytes ~read input in
+    (match frames with
+    | [ { P.request = P.Estimate e; _ } ] ->
+        Alcotest.(check int) (what ^ ": hdl") (String.length hdl) (String.length e.P.hdl)
+    | _ -> Alcotest.failf "%s: expected one estimate frame" what);
+    if decodes > most then
+      Alcotest.failf "%s: buffer decoded %d times (at most %d)" what decodes most
+  in
+  (* once for the first read, once at the frame's end *)
+  check "http body" post ~read:1024 ~most:2;
+  check "line" (body ^ "\n") ~read:1024 ~most:2;
+  let head =
+    String.concat "" (List.init 2000 (fun i -> Printf.sprintf "X-%d: v\n\r\n" i))
+  in
+  let post =
+    Printf.sprintf "POST /estimate HTTP/1.1\r\n%sContent-Length: %d\r\n\r\n%s"
+      head (String.length body) body
+  in
+  (* the method token is classified a byte at a time ("POST " is 5),
+     then once at the head terminator and once at the body's end *)
+  check "trickled head" post ~read:1 ~most:7
+
+(* --- responses --- *)
 (* --- responses --- *)
 
 let encode_line () =
@@ -487,7 +599,9 @@ let () =
           Alcotest.test_case "adversarial headers" `Quick http_adversarial;
           Alcotest.test_case "split reads" `Quick http_split_reads;
           Alcotest.test_case "pipelined decode is linear" `Quick
-            http_pipeline_linear ] );
+            http_pipeline_linear;
+          Alcotest.test_case "trickled frame decodes once" `Quick
+            trickle_decodes_once ] );
       ( "protocol-encode",
         [ Alcotest.test_case "line responses" `Quick encode_line;
           Alcotest.test_case "http responses" `Quick encode_http;
@@ -495,4 +609,4 @@ let () =
             encode_shed_and_close;
           Alcotest.test_case "status texts" `Quick status_texts ] );
       ( "protocol-props",
-        [ split_read_prop; http_split_prop; roundtrip_prop ] ) ]
+        [ split_read_prop; http_split_prop; trickle_prop; roundtrip_prop ] ) ]
