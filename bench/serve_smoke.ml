@@ -263,10 +263,12 @@ let prepopulate_journal () =
   | Ok (0, 0) -> ()
   | Ok (l, s) -> fail "fresh journal loaded %d skipped %d" l s
   | Error e -> fail "open_journal: %s" e);
-  (match Mae_engine.run_string ~jobs:1 ~cache:cas ~registry warm_hdl with
-  | Ok [ Ok _ ] -> ()
-  | Ok _ -> fail "prepopulate: expected one Ok module"
-  | Error _ -> fail "prepopulate: driver error");
+  (match Mae.Driver.string_circuits warm_hdl with
+  | Error _ -> fail "prepopulate: driver error"
+  | Ok circuits -> (
+      match Mae_engine.run_circuits ~jobs:1 ~cache:cas ~registry circuits with
+      | [ Ok _ ] -> ()
+      | _ -> fail "prepopulate: expected one Ok module"));
   Mae_db.Cas.close_journal cas;
   check
     (Mae_db.Cas.length cas = 1)
@@ -496,6 +498,11 @@ let () =
   let cold_doc = send_and_parse fresh_line in
   check (not (cached_of cold_doc "cold"))
     "first sight of a module is not cached";
+  let cold_rid =
+    match Option.bind (Json.member "seq" cold_doc) Json.to_number with
+    | Some f -> Printf.sprintf "r%d" (int_of_float f)
+    | None -> fail "cold store-probe response lacks seq"
+  in
   let hits_before = hits_metric () in
   let warm_doc = send_and_parse fresh_line in
   check (cached_of warm_doc "warm") "repeated request answers cached:true";
@@ -973,6 +980,24 @@ let () =
         [ "latency_s"; "rows_selected"; "cache_hits"; "cache_misses"; "ok" ])
     requests;
   check true "access-log request ids are r1..r%d in order" total;
+  (* a lone request is a batch of one: the batch's kernel-cache traffic
+     is that request's own, so a cold estimate logs a nonzero count *)
+  (match
+     List.find_opt
+       (fun doc -> Json.member "request_id" doc = Some (Json.String cold_rid))
+       requests
+   with
+  | None -> fail "access log lacks the cold store-probe record %s" cold_rid
+  | Some doc ->
+      let count field =
+        match Option.bind (Json.member field doc) Json.to_number with
+        | Some f -> int_of_float f
+        | None -> fail "access log record %s lacks %s" cold_rid field
+      in
+      let lookups = count "cache_hits" + count "cache_misses" in
+      check (lookups > 0)
+        "lone cold request %s logs its kernel-cache traffic (%d lookups)"
+        cold_rid lookups);
 
   (* --- the warm daemon: its journal was written by another process,
      so its very first request must answer from disk --- *)

@@ -70,14 +70,12 @@ let evictions =
   Mae_obs.Metrics.counter "mae_estimate_cache_evictions_total"
     ~help:"Estimate-store live-tier entries evicted by the LRU cap"
 
-let hit_count () = Mae_obs.Metrics.counter_value hits
-let miss_count () = Mae_obs.Metrics.counter_value misses
 let eviction_count () = Mae_obs.Metrics.counter_value evictions
 
 let create ?live_cap () =
   (match live_cap with
   | Some c when c < 1 ->
-      invalid_arg (Printf.sprintf "Cas.create: live_cap %d < 1" c)
+      invalid_arg (Printf.sprintf "Cas.create: live_cap %d < 1" c) (* invariant *)
   | _ -> ());
   {
     lock = Mutex.create ();

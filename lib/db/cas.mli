@@ -60,11 +60,6 @@ val length : t -> int
 val warm_pending : t -> int
 (** Journal-replayed entries not yet promoted by a hit. *)
 
-val hit_count : unit -> int
-(** Process-wide value of [mae_estimate_cache_hits_total]. *)
-
-val miss_count : unit -> int
-
 val eviction_count : unit -> int
 (** Process-wide value of [mae_estimate_cache_evictions_total]. *)
 

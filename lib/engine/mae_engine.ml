@@ -6,14 +6,11 @@ let () = Mae_baselines.Methods.ensure_registered ()
 type error =
   | Driver_error of Mae.Driver.error
   | Crashed of { module_name : string; exn : string }
-  | Invalid_edit of { module_name : string; reason : string }
 
 let pp_error ppf = function
   | Driver_error e -> Mae.Driver.pp_error ppf e
   | Crashed { module_name; exn } ->
       Format.fprintf ppf "module %s: estimator crashed: %s" module_name exn
-  | Invalid_edit { module_name; reason } ->
-      Format.fprintf ppf "module %s: invalid edit: %s" module_name reason
 
 type stats = {
   modules : int;
@@ -374,14 +371,13 @@ let map_pool ~jobs ?pool ~t0 f inputs =
   let batch_misses = Array.fold_left ( + ) 0 miss_delta in
   (results, claimed, max_wait, batch_hits, batch_misses)
 
-(* Like {!estimate_one} but also says how the estimate store answered
-   for this module: [`Hit]/[`Miss] when the store was consulted,
-   [`Bypass] when the lookup never happened (no cache, a [config]
-   override, or an unknown process/method that the driver will report).
-   The flag gives grouped batches exact per-request store accounting
-   where the process-counter delta of {!run_circuits_with_stats} would
-   lump every request in the batch together. *)
-let estimate_one_flagged ?config ?methods ?cache ~registry
+(* Estimate one module and say how the estimate store answered for it:
+   [`Hit]/[`Miss] when the store was consulted, [`Bypass] when the
+   lookup never happened (no cache, a [config] override, or an unknown
+   process/method that the driver will report).  Batch store counts are
+   summed from these flags, so they are exact per group and per batch
+   even when other batches share the store concurrently. *)
+let estimate_one ?config ?methods ?cache ~registry
     (circuit : Mae_netlist.Circuit.t) =
   let run_uncached () =
     match Mae.Driver.run_circuit ?config ?methods ~registry circuit with
@@ -433,90 +429,13 @@ let estimate_one_flagged ?config ?methods ?cache ~registry
   end
   else run ()
 
-let estimate_one ?config ?methods ?cache ~registry circuit =
-  fst (estimate_one_flagged ?config ?methods ?cache ~registry circuit)
-
-let run_circuits_with_stats ?config ?methods ?jobs ?pool ?cache ~registry
-    circuits =
-  let jobs = resolve_jobs jobs in
-  check_oversubscription jobs;
-  let inputs = Array.of_list circuits in
-  Mae_obs.Span.with_ ~name:"engine.batch"
-    ~attrs:
-      [
-        ("modules", string_of_int (Array.length inputs));
-        ("jobs", string_of_int jobs);
-      ]
-  @@ fun () ->
-  (* before/after deltas of the process-wide store counters: exact when
-     batches run one at a time (the serve daemon, the CLI); concurrent
-     batches sharing a store attribute each other's lookups *)
-  let store_h0, store_m0 =
-    match cache with
-    | Some _ -> (Mae_db.Cas.hit_count (), Mae_db.Cas.miss_count ())
-    | None -> (0, 0)
-  in
-  let t0 = Mae_obs.Clock.monotonic () in
-  let results, per_domain, queue_wait, cache_hits, cache_misses =
-    map_pool ~jobs ?pool ~t0
-      (estimate_one ?config ?methods ?cache ~registry)
-      inputs
-  in
-  let store_hits, store_misses =
-    match cache with
-    | Some _ ->
-        (Mae_db.Cas.hit_count () - store_h0, Mae_db.Cas.miss_count () - store_m0)
-    | None -> (0, 0)
-  in
-  let elapsed_s = Mae_obs.Clock.monotonic () -. t0 in
-  let ok =
-    Array.fold_left
-      (fun acc -> function Ok _ -> acc + 1 | Error _ -> acc)
-      0 results
-  in
-  let modules = Array.length inputs in
-  Mae_obs.Metrics.add modules_counter modules;
-  Mae_obs.Metrics.add ok_counter ok;
-  Mae_obs.Metrics.add failed_counter (modules - ok);
-  Mae_obs.Metrics.set queue_wait_gauge queue_wait;
-  let stats =
-    {
-      modules;
-      ok;
-      failed = modules - ok;
-      jobs;
-      elapsed_s;
-      (* summed per-worker deltas of the workers' domain-local cache
-         counts: exactly this batch's traffic, even when another batch
-         runs concurrently on other domains (the old before/after of the
-         process-global counters attributed the overlap to both) *)
-      cache_hits;
-      cache_misses;
-      store_hits;
-      store_misses;
-      per_domain;
-    }
-  in
-  if Mae_obs.Log.enabled Mae_obs.Log.Debug then
-    Mae_obs.Log.debug ~event:"engine.batch"
-      [
-        ("modules", Mae_obs.Log.Int modules);
-        ("ok", Mae_obs.Log.Int ok);
-        ("failed", Mae_obs.Log.Int (modules - ok));
-        ("jobs", Mae_obs.Log.Int jobs);
-        ("elapsed_s", Mae_obs.Log.Float elapsed_s);
-        ("cache_hits", Mae_obs.Log.Int stats.cache_hits);
-        ("cache_misses", Mae_obs.Log.Int stats.cache_misses);
-      ];
-  (Array.to_list results, stats)
-
-(* The coalescing batch entry point: several requests' circuit lists
-   run as one engine fan-out (one pool submission, one work-stealing
-   pass over the concatenation), and each group gets its own results
-   slice plus its own store hit/miss counts from the per-module flags.
-   One group is one request, so the dispatcher can answer each with an
-   exact "cached" field even though the engine saw a single batch. *)
-let run_grouped ?methods ?jobs ?pool ?cache ~registry groups =
+(* The one batch path: several groups' circuit lists run as one engine
+   fan-out (one pool submission, one work-stealing pass over the
+   concatenation), and each group gets its own results slice plus its
+   own store hit/miss counts from the per-module flags.  The serve
+   dispatcher passes one group per request; a plain batch is one
+   group. *)
+let run_grouped ?config ?methods ?jobs ?pool ?cache ~registry groups =
   let jobs = resolve_jobs jobs in
   check_oversubscription jobs;
   let inputs = Array.of_list (List.concat groups) in
@@ -530,7 +449,8 @@ let run_grouped ?methods ?jobs ?pool ?cache ~registry groups =
   @@ fun () ->
   let t0 = Mae_obs.Clock.monotonic () in
   let flagged, per_domain, queue_wait, cache_hits, cache_misses =
-    map_pool ~jobs ?pool ~t0 (estimate_one_flagged ?methods ?cache ~registry)
+    map_pool ~jobs ?pool ~t0
+      (estimate_one ?config ?methods ?cache ~registry)
       inputs
   in
   let elapsed_s = Mae_obs.Clock.monotonic () -. t0 in
@@ -572,6 +492,9 @@ let run_grouped ?methods ?jobs ?pool ?cache ~registry groups =
       failed = modules - ok;
       jobs;
       elapsed_s;
+      (* summed per-worker deltas of the workers' domain-local cache
+         counts: exactly this batch's traffic, even when another batch
+         runs concurrently on other domains *)
       cache_hits;
       cache_misses;
       store_hits;
@@ -593,344 +516,15 @@ let run_grouped ?methods ?jobs ?pool ?cache ~registry groups =
       ];
   (grouped, stats)
 
+let run_circuits_with_stats ?config ?methods ?jobs ?pool ?cache ~registry
+    circuits =
+  match
+    run_grouped ?config ?methods ?jobs ?pool ?cache ~registry [ circuits ]
+  with
+  | [ (results, _, _) ], stats -> (results, stats)
+  | _ -> assert false (* one group in, one group out *)
+
 let run_circuits ?config ?methods ?jobs ?pool ?cache ~registry circuits =
   fst
     (run_circuits_with_stats ?config ?methods ?jobs ?pool ?cache ~registry
        circuits)
-
-let run_design ?config ?methods ?jobs ?pool ?cache ~registry design =
-  match Mae.Driver.design_circuits design with
-  | Error e -> Error e
-  | Ok circuits ->
-      Ok (run_circuits ?config ?methods ?jobs ?pool ?cache ~registry circuits)
-
-let run_string ?config ?methods ?jobs ?pool ?cache ~registry text =
-  match Mae.Driver.string_circuits text with
-  | Error e -> Error e
-  | Ok circuits ->
-      Ok (run_circuits ?config ?methods ?jobs ?pool ?cache ~registry circuits)
-
-let run_file ?config ?methods ?jobs ?pool ?cache ~registry path =
-  match Mae.Driver.file_circuits path with
-  | Error e -> Error e
-  | Ok circuits ->
-      Ok (run_circuits ?config ?methods ?jobs ?pool ?cache ~registry circuits)
-
-(* --- incremental re-estimation: the delta path --- *)
-
-module C = Mae_netlist.Circuit
-module Dv = Mae_netlist.Device
-module Nt = Mae_netlist.Net
-module Pt = Mae_netlist.Port
-
-type edit =
-  | Add_device of { name : string; kind : string; nets : string list }
-  | Remove_device of { name : string }
-  | Add_net of { name : string }
-  | Remove_net of { name : string }
-
-type reestimate_report = {
-  report : Mae.Driver.module_report;
-  reused : string list;
-  recomputed : string list;
-  stats_incremental : bool;
-  stats : Mae_netlist.Stats.t;
-}
-
-(* Rebuild a circuit through Builder preserving net and device index
-   order exactly, so the float folds downstream see the same sequences.
-   Additions are appended last (Builder creates nets on first mention),
-   which is what makes the Add_* stats deltas exact. *)
-let rebuild ?(keep_device = fun _ -> true) ?(keep_net = fun _ -> true)
-    ?append_net ?append_device (c : C.t) =
-  let b = Mae_netlist.Builder.create ~name:c.name ~technology:c.technology in
-  let net_name i = (c.nets.(i) : Nt.t).name in
-  Array.iter
-    (fun (n : Nt.t) -> if keep_net n.name then ignore (Mae_netlist.Builder.net b n.name))
-    c.nets;
-  (match append_net with
-  | Some name -> ignore (Mae_netlist.Builder.net b name)
-  | None -> ());
-  Array.iter
-    (fun (d : Dv.t) ->
-      if keep_device d.name then
-        ignore
-          (Mae_netlist.Builder.add_device b ~name:d.name ~kind:d.kind
-             ~nets:(Array.to_list (Array.map net_name d.pins))))
-    c.devices;
-  (match append_device with
-  | Some (name, kind, nets) ->
-      ignore (Mae_netlist.Builder.add_device b ~name ~kind ~nets)
-  | None -> ());
-  Array.iter
-    (fun (p : Pt.t) ->
-      Mae_netlist.Builder.add_port b ~name:p.name ~direction:p.direction
-        ~net:(net_name p.net))
-    c.ports;
-  Mae_netlist.Builder.build b
-
-let apply_edit (c : C.t) edit =
-  try
-    match edit with
-    | Add_device { name; kind; nets } ->
-        if nets = [] then Error "a device needs at least one pin"
-        else if C.find_device c name <> None then
-          Error (Printf.sprintf "device %s already exists" name)
-        else Ok (rebuild ~append_device:(name, kind, nets) c)
-    | Remove_device { name } ->
-        if C.find_device c name = None then
-          Error (Printf.sprintf "no device named %s" name)
-        else Ok (rebuild ~keep_device:(fun n -> not (String.equal n name)) c)
-    | Add_net { name } ->
-        if name = "" then Error "empty net name"
-        else if C.find_net c name <> None then
-          Error (Printf.sprintf "net %s already exists" name)
-        else Ok (rebuild ~append_net:name c)
-    | Remove_net { name } -> (
-        match C.find_net c name with
-        | None -> Error (Printf.sprintf "no net named %s" name)
-        | Some n ->
-            if C.degree c n.index > 0 then
-              Error
-                (Printf.sprintf "net %s still connects %d device(s)" name
-                   (C.degree c n.index))
-            else if
-              Array.exists (fun (p : Pt.t) -> p.net = n.index) c.ports
-            then Error (Printf.sprintf "net %s is bound to a port" name)
-            else Ok (rebuild ~keep_net:(fun nm -> not (String.equal nm name)) c))
-  with Invalid_argument reason -> Error reason
-
-(* Per-methodology input projections.
-
-   A stored outcome is reused only when every input the estimator reads
-   is bit-for-bit unchanged between the old and new circuit; all float
-   comparisons go through IEEE bit patterns.  The projections mirror
-   exactly what each estimator consumes:
-
-   - stdcell (stdcell.ml, row_select.ml): device_count, port_count,
-     average_width, total_device_area, the degree histogram.
-   - fullcustom (fullcustom.ml): the device term (total_device_area in
-     exact mode; device_count, average widths/heights in average mode),
-     port_count, and the ordered per-net channel contributions: nets of
-     degree <= 1 add a literal +0. to a non-negative accumulator (a
-     bitwise no-op), so only nets of degree >= 2 matter -- compared in
-     net-index order with their member widths (exact mode).
-   - gatearray (gatearray.ml): the device-kind multiset (site demand)
-     plus the full stats record (track model).
-
-   Unknown methodologies (baselines) have no projection and are always
-   recomputed. *)
-
-let bits = Int64.bits_of_float
-let feq a b = Int64.equal (bits a) (bits b)
-
-let stdcell_projection_equal (a : Mae_netlist.Stats.t)
-    (b : Mae_netlist.Stats.t) =
-  a.device_count = b.device_count
-  && a.port_count = b.port_count
-  && feq a.average_width b.average_width
-  && feq a.total_device_area b.total_device_area
-  && a.degree_histogram = b.degree_histogram
-
-let fc_wire_profile ~exact (c : C.t) process =
-  let widths =
-    if exact then Some (Mae_netlist.Stats.device_widths c process) else None
-  in
-  List.init (C.net_count c) (fun n ->
-      let members = C.devices_on_net c n in
-      let d = Array.length members in
-      if d < 2 then None
-      else
-        Some
-          ( d,
-            match widths with
-            | Some w -> Array.to_list (Array.map (fun i -> bits w.(i)) members)
-            | None -> [] ))
-  |> List.filter_map Fun.id
-
-let fullcustom_projection_equal ~exact ~(old_fc : C.t)
-    ~(old_fc_stats : Mae_netlist.Stats.t) ~(new_fc : C.t)
-    ~(new_fc_stats : Mae_netlist.Stats.t) process =
-  old_fc_stats.device_count = new_fc_stats.device_count
-  && old_fc_stats.port_count = new_fc_stats.port_count
-  && (if exact then feq old_fc_stats.total_device_area new_fc_stats.total_device_area
-      else
-        feq old_fc_stats.average_width new_fc_stats.average_width
-        && feq old_fc_stats.average_height new_fc_stats.average_height)
-  && fc_wire_profile ~exact old_fc process = fc_wire_profile ~exact new_fc process
-
-let kind_multiset (c : C.t) =
-  Array.to_list c.devices
-  |> List.map (fun (d : Dv.t) -> d.kind)
-  |> List.sort String.compare
-
-let reestimate ?config ?methods ?cache ?previous_stats ~registry
-    ~(previous : Mae.Driver.module_report) edit =
-  let module_name = previous.circuit.C.name in
-  match apply_edit previous.circuit edit with
-  | Error reason -> Error (Invalid_edit { module_name; reason })
-  | Ok circuit -> (
-      try
-        match Mae_tech.Registry.find registry circuit.C.technology with
-        | None ->
-            Error
-              (Driver_error
-                 (Mae.Driver.Unknown_process
-                    { module_name; technology = circuit.C.technology }))
-        | Some process -> (
-            match
-              Mae.Methodology.resolve (Option.value methods ~default:[ "default" ])
-            with
-            | Error name ->
-                Error
-                  (Driver_error
-                     (Mae.Driver.Unknown_method { module_name; methodology = name }))
-            | Ok selected -> (
-                let issues = Mae_netlist.Validate.check circuit process in
-                let errors = List.filter Mae_netlist.Validate.is_error issues in
-                match errors with
-                | _ :: _ ->
-                    Error
-                      (Driver_error
-                         (Mae.Driver.Validation_failed
-                            { module_name; issues = errors }))
-                | [] ->
-                    let old_stats =
-                      match previous_stats with
-                      | Some s -> s
-                      | None ->
-                          Mae_netlist.Stats.compute previous.circuit process
-                    in
-                    (* the edit kinds whose stats update extends the
-                       original fold (appends) are exact; a removal
-                       breaks float-fold associativity, so it recomputes *)
-                    let stats, stats_incremental =
-                      match edit with
-                      | Add_device { kind; nets; _ } -> (
-                          match Mae_tech.Process.find_device process kind with
-                          | None ->
-                              (Mae_netlist.Stats.compute circuit process, false)
-                          | Some k ->
-                              let transitions =
-                                List.sort_uniq String.compare nets
-                                |> List.map (fun nm ->
-                                       match C.find_net previous.circuit nm with
-                                       | Some n ->
-                                           let d =
-                                             C.degree previous.circuit n.Nt.index
-                                           in
-                                           (d, d + 1)
-                                       | None -> (0, 1))
-                              in
-                              ( Mae_netlist.Stats.add_device_delta old_stats
-                                  ~kind:k ~net_count:(C.net_count circuit)
-                                  ~net_transitions:transitions,
-                                true ))
-                      | Add_net _ | Remove_net _ ->
-                          ( Mae_netlist.Stats.with_net_count old_stats
-                              ~net_count:(C.net_count circuit),
-                            true )
-                      | Remove_device _ ->
-                          (Mae_netlist.Stats.compute circuit process, false)
-                    in
-                    let expanded =
-                      Mae.Methodology.expand_for_fullcustom circuit process
-                    in
-                    let fc_circuit = Option.value expanded ~default:circuit in
-                    let fc_stats =
-                      match expanded with
-                      | None -> stats
-                      | Some e -> Mae_netlist.Stats.compute e process
-                    in
-                    let ctx =
-                      {
-                        Mae.Methodology.config;
-                        process;
-                        stats;
-                        fc_circuit;
-                        fc_stats;
-                        rows_override = None;
-                      }
-                    in
-                    (* old full-custom inputs are re-derived from the old
-                       circuit (expansion is deterministic), so reuse is
-                       sound even when [previous] came from the store with
-                       its expansion intermediate stripped *)
-                    let old_fc_inputs =
-                      lazy
-                        (let old_expanded =
-                           Mae.Methodology.expand_for_fullcustom
-                             previous.circuit process
-                         in
-                         let old_fc =
-                           Option.value old_expanded ~default:previous.circuit
-                         in
-                         let old_fc_stats =
-                           match old_expanded with
-                           | None -> old_stats
-                           | Some e -> Mae_netlist.Stats.compute e process
-                         in
-                         (old_fc, old_fc_stats))
-                    in
-                    let projection_unchanged name =
-                      match name with
-                      | "stdcell" -> stdcell_projection_equal old_stats stats
-                      | "fullcustom-exact" | "fullcustom-average" ->
-                          let old_fc, old_fc_stats = Lazy.force old_fc_inputs in
-                          fullcustom_projection_equal
-                            ~exact:(String.equal name "fullcustom-exact")
-                            ~old_fc ~old_fc_stats ~new_fc:fc_circuit
-                            ~new_fc_stats:fc_stats process
-                      | "gatearray" ->
-                          Mae_netlist.Stats.equal old_stats stats
-                          && kind_multiset previous.circuit = kind_multiset circuit
-                      | _ -> false
-                    in
-                    let reused = ref [] in
-                    let recomputed = ref [] in
-                    let results =
-                      List.map
-                        (fun t ->
-                          let name = Mae.Methodology.name t in
-                          let previous_outcome =
-                            (* reuse only successful outcomes whose every
-                               input is bitwise unchanged; a [config]
-                               could change what an estimator reads, so
-                               configured runs always recompute *)
-                            if config = None && projection_unchanged name then
-                              match Mae.Driver.find_result previous name with
-                              | Some (Ok o) -> Some (Ok o)
-                              | Some (Error _) | None -> None
-                            else None
-                          in
-                          match previous_outcome with
-                          | Some outcome ->
-                              reused := name :: !reused;
-                              { Mae.Driver.methodology = t; outcome }
-                          | None ->
-                              recomputed := name :: !recomputed;
-                              {
-                                Mae.Driver.methodology = t;
-                                outcome = Mae.Methodology.run ctx t circuit;
-                              })
-                        selected
-                    in
-                    let report =
-                      { Mae.Driver.circuit; process; issues; expanded; results }
-                    in
-                    (match (cache, config) with
-                    | Some cas, None ->
-                        let names = List.map Mae.Methodology.name selected in
-                        let key = Mae_db.Cas.key ~methods:names ~process circuit in
-                        Mae_db.Cas.store cas ~key report
-                    | _ -> ());
-                    Ok
-                      {
-                        report;
-                        reused = List.rev !reused;
-                        recomputed = List.rev !recomputed;
-                        stats_incremental;
-                        stats;
-                      }))
-      with exn ->
-        Error (Crashed { module_name; exn = Printexc.to_string exn }))

@@ -1,9 +1,9 @@
 (** Multicore batch-estimation engine.
 
-    Fans a list of circuits (or the modules of an HDL file) across an
-    OCaml 5 [Domain] pool, runs {!Mae.Driver.run_circuit} on each, and
-    returns per-module results {e in deterministic input order} no
-    matter which domain estimated which module.  A module that fails
+    Fans a list of circuits across an OCaml 5 [Domain] pool, runs
+    {!Mae.Driver.run_circuit} on each, and returns per-module results
+    {e in deterministic input order} no matter which domain estimated
+    which module.  A module that fails
     (driver error or exception) yields an [Error] slot; the rest of the
     batch is unaffected.
 
@@ -40,8 +40,6 @@ type error =
   | Driver_error of Mae.Driver.error
   | Crashed of { module_name : string; exn : string }
       (** an exception escaped the estimator for this module *)
-  | Invalid_edit of { module_name : string; reason : string }
-      (** {!reestimate} was handed an edit the circuit cannot take *)
 
 val pp_error : Format.formatter -> error -> unit
 
@@ -58,8 +56,8 @@ type stats = {
   cache_misses : int;
   store_hits : int;
       (** estimate-store lookups answered from {!Mae_db.Cas} during this
-          batch (before/after deltas of the process-wide counters: exact
-          when batches run one at a time, as in the serve daemon) *)
+          batch, summed from per-module lookup flags: exact for this
+          batch even when other batches share the store concurrently *)
   store_misses : int;
   per_domain : int array;
       (** how many modules each worker estimated; slot 0 is the calling
@@ -137,8 +135,10 @@ val run_circuits_with_stats :
   registry:Mae_tech.Registry.t ->
   Mae_netlist.Circuit.t list ->
   (Mae.Driver.module_report, error) result list * stats
+(** {!run_circuits} plus the batch {!stats}: a one-group {!run_grouped}. *)
 
 val run_grouped :
+  ?config:Mae.Config.t ->
   ?methods:string list ->
   ?jobs:int ->
   ?pool:Pool.t ->
@@ -146,117 +146,22 @@ val run_grouped :
   registry:Mae_tech.Registry.t ->
   Mae_netlist.Circuit.t list list ->
   (((Mae.Driver.module_report, error) result list * int * int) list * stats)
-(** The coalescing batch entry point: each inner list is one request's
-    circuits; the concatenation runs as a single engine fan-out (one
-    pool submission, one work-stealing pass) and each group comes back
-    as [(results, store_hits, store_misses)] with results in input
-    order and the store counts taken from per-module lookup flags --
-    exact per-group accounting even though the engine saw one batch.
+(** The one batch path: each inner list is one group's circuits (the
+    serve dispatcher passes one group per request); the concatenation
+    runs as a single engine fan-out (one pool submission, one
+    work-stealing pass) and each group comes back as
+    [(results, store_hits, store_misses)] with results in input order
+    and the store counts taken from per-module lookup flags -- exact
+    per-group accounting even though the engine saw one batch.
     [stats] covers the whole batch.  Per-module results are bit-for-bit
-    what per-request {!run_circuits_with_stats} calls would produce. *)
-
-val run_design :
-  ?config:Mae.Config.t ->
-  ?methods:string list ->
-  ?jobs:int ->
-  ?pool:Pool.t ->
-  ?cache:Mae_db.Cas.t ->
-  registry:Mae_tech.Registry.t ->
-  Mae_hdl.Ast.design ->
-  ((Mae.Driver.module_report, error) result list, Mae.Driver.error) result
-(** Elaborate a parsed multi-module design, then fan the modules out.
-    Elaboration failures abort the whole batch (there is nothing to
-    estimate); per-module estimation failures are isolated as [Error]
-    slots. *)
-
-val run_string :
-  ?config:Mae.Config.t ->
-  ?methods:string list ->
-  ?jobs:int ->
-  ?pool:Pool.t ->
-  ?cache:Mae_db.Cas.t ->
-  registry:Mae_tech.Registry.t ->
-  string ->
-  ((Mae.Driver.module_report, error) result list, Mae.Driver.error) result
-
-val run_file :
-  ?config:Mae.Config.t ->
-  ?methods:string list ->
-  ?jobs:int ->
-  ?pool:Pool.t ->
-  ?cache:Mae_db.Cas.t ->
-  registry:Mae_tech.Registry.t ->
-  string ->
-  ((Mae.Driver.module_report, error) result list, Mae.Driver.error) result
+    independent of how the circuits are split into groups. *)
 
 (** {1 Estimate store}
 
-    Pass [?cache] (a {!Mae_db.Cas.t}) to any entry point and each module
-    is first looked up by its content address (canonical circuit +
+    Pass [?cache] (a {!Mae_db.Cas.t}) to a run and each module is first
+    looked up by its content address (canonical circuit +
     process fingerprint + registry version + resolved method set); hits
     return the stored report bit-for-bit and count into
     [mae_estimate_cache_hits_total].  Runs with an explicit [?config]
     bypass the store: a config changes results but is not part of the
     address. *)
-
-(** {1 Incremental re-estimation}
-
-    The delta path: apply a netlist edit to an already-estimated module
-    and recompute only the methodologies whose inputs actually changed,
-    updating the shared statistics context incrementally where the edit
-    permits. *)
-
-type edit =
-  | Add_device of { name : string; kind : string; nets : string list }
-      (** pins connect to the named nets in order; unknown net names are
-          created (appended after the existing nets) *)
-  | Remove_device of { name : string }
-  | Add_net of { name : string }  (** a new floating net *)
-  | Remove_net of { name : string }
-      (** the net must be floating (degree 0) and not bound to a port *)
-
-val apply_edit :
-  Mae_netlist.Circuit.t -> edit -> (Mae_netlist.Circuit.t, string) result
-(** The edited circuit, rebuilt with net and device index order
-    preserved and additions appended last -- the property that makes the
-    [Add_*] statistics deltas exact. *)
-
-type reestimate_report = {
-  report : Mae.Driver.module_report;  (** for the edited circuit *)
-  reused : string list;
-      (** methodologies answered from the previous report because every
-          input they read was bit-for-bit unchanged *)
-  recomputed : string list;
-  stats_incremental : bool;
-      (** the shared stats context was updated by delta rather than by
-          rescanning the circuit *)
-  stats : Mae_netlist.Stats.t;
-      (** the edited circuit's statistics; feed back as
-          [?previous_stats] when chaining edits *)
-}
-
-val reestimate :
-  ?config:Mae.Config.t ->
-  ?methods:string list ->
-  ?cache:Mae_db.Cas.t ->
-  ?previous_stats:Mae_netlist.Stats.t ->
-  registry:Mae_tech.Registry.t ->
-  previous:Mae.Driver.module_report ->
-  edit ->
-  (reestimate_report, error) result
-(** Re-estimate [previous]'s module after [edit].
-
-    The result is {e bit-for-bit identical} to a full
-    {!Mae.Driver.run_circuit} on the edited circuit: statistics deltas
-    extend the original float folds exactly ([Add_device] appends the
-    new device's terms; add/remove of a floating net touches no float),
-    and a methodology's previous outcome is reused only when a bitwise
-    projection of everything it reads is unchanged.  [Remove_device]
-    breaks fold associativity, so its statistics are recomputed in full;
-    per-methodology reuse still applies.
-
-    [?previous_stats] supplies the raw statistics of [previous.circuit]
-    (e.g. from a prior {!reestimate_report}), making the stats update
-    O(edit); omitted, they are recomputed.  Runs with [?config] recompute
-    every methodology.  When [?cache] is given (and no config), the new
-    report is stored under the edited circuit's content address. *)

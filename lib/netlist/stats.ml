@@ -5,8 +5,6 @@ type t = {
   net_count : int;
   port_count : int;
   width_classes : (Mae_geom.Lambda.t * int) list;
-  total_width : Mae_geom.Lambda.t;
-  total_height : Mae_geom.Lambda.t;
   average_width : Mae_geom.Lambda.t;
   average_height : Mae_geom.Lambda.t;
   total_device_area : Mae_geom.Lambda.area;
@@ -97,102 +95,12 @@ let compute (c : Circuit.t) process =
     net_count;
     port_count = Circuit.port_count c;
     width_classes;
-    total_width = !total_width;
-    total_height = !total_height;
     average_width;
     average_height;
     total_device_area;
     degree_histogram;
     max_degree;
   }
-
-(* --- bitwise equality and incremental updates (the delta path) --- *)
-
-let float_bits_equal a b =
-  Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
-let equal a b =
-  a.device_count = b.device_count
-  && a.net_count = b.net_count
-  && a.port_count = b.port_count
-  && List.length a.width_classes = List.length b.width_classes
-  && List.for_all2
-       (fun (w1, c1) (w2, c2) -> float_bits_equal w1 w2 && c1 = c2)
-       a.width_classes b.width_classes
-  && float_bits_equal a.total_width b.total_width
-  && float_bits_equal a.total_height b.total_height
-  && float_bits_equal a.average_width b.average_width
-  && float_bits_equal a.average_height b.average_height
-  && float_bits_equal a.total_device_area b.total_device_area
-  && a.degree_histogram = b.degree_histogram
-  && a.max_degree = b.max_degree
-
-(* Insert one device of width [w] into the ascending width-class list,
-   merging into an existing class when the width compares equal --
-   exactly what sort-then-[merge_equal_widths] produces for the grown
-   device set. *)
-let rec insert_width w = function
-  | [] -> [ (w, 1) ]
-  | (w', x) :: rest ->
-      let c = Float.compare w w' in
-      if c = 0 then (w', x + 1) :: rest
-      else if c < 0 then (w, 1) :: (w', x) :: rest
-      else (w', x) :: insert_width w rest
-
-(* Re-key the degree histogram after a set of per-net degree
-   transitions.  Degree-0 buckets never appear (matching [compute]);
-   max_degree is re-derived as the largest populated bucket. *)
-let apply_degree_transitions hist transitions =
-  let tbl = Hashtbl.create 16 in
-  List.iter (fun (d, y) -> Hashtbl.replace tbl d y) hist;
-  let bump d delta =
-    if d >= 1 then begin
-      let y = (match Hashtbl.find_opt tbl d with Some y -> y | None -> 0) + delta in
-      if y < 0 then invalid_arg "Stats.apply_degree_transitions: negative bucket";
-      if y = 0 then Hashtbl.remove tbl d else Hashtbl.replace tbl d y
-    end
-  in
-  List.iter
-    (fun (before, after) ->
-      bump before (-1);
-      bump after 1)
-    transitions;
-  let hist' =
-    Hashtbl.fold (fun d y acc -> (d, y) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> Stdlib.compare a b)
-  in
-  let max' = List.fold_left (fun m (d, _) -> Stdlib.max m d) 0 hist' in
-  (hist', max')
-
-let add_device_delta t ~(kind : Mae_tech.Device_kind.t) ~net_count
-    ~net_transitions =
-  (* [compute]'s float folds visit devices in index order, and an added
-     device is always appended last, so extending each running total by
-     one term reproduces the full fold bit for bit. *)
-  let n = t.device_count + 1 in
-  let total_width = t.total_width +. kind.width in
-  let total_height = t.total_height +. kind.height in
-  let total_device_area =
-    t.total_device_area +. Mae_tech.Device_kind.area kind
-  in
-  let degree_histogram, max_degree =
-    apply_degree_transitions t.degree_histogram net_transitions
-  in
-  {
-    device_count = n;
-    net_count;
-    port_count = t.port_count;
-    width_classes = insert_width kind.width t.width_classes;
-    total_width;
-    total_height;
-    average_width = total_width /. Float.of_int n;
-    average_height = total_height /. Float.of_int n;
-    total_device_area;
-    degree_histogram;
-    max_degree;
-  }
-
-let with_net_count t ~net_count = { t with net_count }
 
 let pp ppf t =
   Format.fprintf ppf

@@ -48,7 +48,8 @@ let queue_depth_gauge =
 let batch_requests =
   Metrics.histogram "mae_serve_batch_requests"
     ~buckets:[| 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128. |]
-    ~help:"Requests coalesced into one engine batch"
+    ~help:
+      "Estimate requests per engine batch (a lone request is a batch of 1)"
 
 let request_latency =
   Metrics.histogram "mae_serve_request_seconds"
@@ -61,7 +62,7 @@ let request_latency_sketch =
   Mae_obs.Sketch.create "mae_serve_request_seconds_summary"
     ~help:"Per-request service latency quantiles (GK sketch)"
 
-(* --- response assembly (shared by the solo and coalesced paths) --- *)
+(* --- response assembly --- *)
 
 (* One JSON value per methodology outcome: the shared dimensions plus a
    few kind-specific extras. *)
@@ -156,13 +157,14 @@ type prepared = {
   rows_selected_total : int;
   cache_hits : int;
       (** kernel-cache traffic attributed to this request by the
-          engine's domain-local accounting; 0 for a coalesced request
-          (the shared batch's traffic is on the [serve.batch] record) *)
+          engine's domain-local accounting: the whole batch's when the
+          request is its batch's only member, 0 when it shared one (the
+          shared traffic is on the [serve.batch] record) *)
   cache_misses : int;
   cached : bool;
       (** every module of this request was answered from the estimate
-          store -- per-request exact on both paths (the solo path's
-          counter delta and the grouped path's per-module flags) *)
+          store -- per-request exact from the engine's per-module
+          lookup flags *)
   server_error : bool;
       (** true when the failure is the server's fault (an estimator
           crash), as opposed to a malformed request or bad circuit --
@@ -183,7 +185,7 @@ let failure ?(server_error = false) msg =
   }
 
 (* Results (plus this request's own store traffic) to the response
-   fields -- the shape both engine paths share. *)
+   fields. *)
 let prepared_of_results ~cache_hits ~cache_misses ~store_hits ~store_misses
     results =
   let modules = List.length results in
@@ -318,10 +320,10 @@ let seq_and_id seq id fields =
     @ fields)
 
 (* Full per-request bookkeeping around [outcome]: the thunk runs inside
-   the request's [serve.request] span (on the solo path it is the whole
-   parse + engine run; a coalesced request already estimated and just
-   returns).  Latency counts from frame arrival, so queue wait and any
-   shared batch the request rode are part of its SLO story. *)
+   the request's [serve.request] span (an estimate already ran in its
+   [serve.batch], so the thunk just returns).  Latency counts from frame
+   arrival, so queue wait and the batch the request rode are part of
+   its SLO story. *)
 let answer t job ~id outcome =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
@@ -423,36 +425,14 @@ let inject_sleep t (est : Protocol.estimate) =
   if t.config.inject_sleep_field then
     match est.Protocol.sleep_s with Some s -> Unix.sleepf s | None -> ()
 
-(* One request, one engine batch: the pre-coalescing hot path, kept
-   byte-identical in behavior (store-counter delta, per-request
-   kernel-cache attribution) for the common lockstep client. *)
-let solo_outcome t (est : Protocol.estimate) =
-  inject_sleep t est;
-  match Mae.Driver.string_circuits est.Protocol.hdl with
-  | Error e -> failure (Format.asprintf "%a" Mae.Driver.pp_error e)
-  | Ok circuits -> begin
-      match
-        Mae_engine.run_circuits_with_stats ?methods:est.Protocol.methods
-          ?pool:t.pool ?cache:t.cas ~jobs:t.config.jobs
-          ~registry:t.config.registry circuits
-      with
-      | results, stats ->
-          prepared_of_results ~cache_hits:stats.Mae_engine.cache_hits
-            ~cache_misses:stats.Mae_engine.cache_misses
-            ~store_hits:stats.Mae_engine.store_hits
-            ~store_misses:stats.Mae_engine.store_misses results
-      | exception exn ->
-          failure ~server_error:true
-            ("estimator crashed: " ^ Printexc.to_string exn)
-    end
-
-(* Coalescing: several estimate jobs from the queue prefix run as one
-   engine fan-out per method selection.  Sleep injection and hdl
-   parsing stay in arrival order; the grouped engine call gives each
-   request its own results slice and store hit/miss counts, so the
-   per-request "cached" field stays exact.  Per-request kernel-cache
-   attribution does not survive sharing a batch -- those totals go on
-   the [serve.batch] debug record instead. *)
+(* Coalescing: the estimate jobs of a queue prefix run as one engine
+   fan-out per method selection; a lone estimate is a batch of one.
+   Sleep injection and hdl parsing stay in arrival order; the grouped
+   engine call gives each request its own results slice and store
+   hit/miss counts, so the per-request "cached" field stays exact.
+   Kernel-cache traffic is per batch: a one-member batch's totals are
+   its request's, while a shared batch's go on the [serve.batch] debug
+   record only. *)
 let prepare_batch t ests =
   List.iter (fun (_, est) -> inject_sleep t est) ests;
   let parsed =
@@ -508,11 +488,16 @@ let prepare_batch t ests =
                 ("store_hits", Log.Int stats.Mae_engine.store_hits);
                 ("store_misses", Log.Int stats.Mae_engine.store_misses);
               ];
+          let cache_hits, cache_misses =
+            match members with
+            | [ _ ] -> (stats.Mae_engine.cache_hits, stats.Mae_engine.cache_misses)
+            | _ -> (0, 0)
+          in
           List.iter2
             (fun (job, _, _) (results, store_hits, store_misses) ->
               outcomes :=
                 ( job,
-                  prepared_of_results ~cache_hits:0 ~cache_misses:0 ~store_hits
+                  prepared_of_results ~cache_hits ~cache_misses ~store_hits
                     ~store_misses results )
                 :: !outcomes)
             members grouped
@@ -568,10 +553,7 @@ let process t jobs =
         match job.kind with J_estimate est -> Some (job, est) | _ -> None)
       jobs
   in
-  (* a lone estimate keeps the pre-coalescing solo path: its engine run
-     happens inside its own serve.request span with per-request
-     kernel-cache attribution, exactly as before the split *)
-  let prepared = match ests with [] | [ _ ] -> [] | _ -> prepare_batch t ests in
+  let prepared = prepare_batch t ests in
   List.iter
     (fun job ->
       match job.kind with
@@ -579,12 +561,10 @@ let process t jobs =
       | J_shed { id } -> answer_shed t job ~id
       | J_invalid { id; error } ->
           answer t job ~id (fun () -> failure error)
-      | J_estimate est -> begin
-          match List.assq_opt job prepared with
-          | Some p -> answer t job ~id:est.Protocol.id (fun () -> p)
-          | None ->
-              answer t job ~id:est.Protocol.id (fun () -> solo_outcome t est)
-        end)
+      | J_estimate est ->
+          (* prepare_batch answers every estimate job it is handed *)
+          let p = List.assq job prepared in
+          answer t job ~id:est.Protocol.id (fun () -> p))
     jobs
 
 let tick t =

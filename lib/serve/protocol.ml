@@ -355,7 +355,8 @@ let decode_http ~max_bytes buf off =
     end
 
 let decode ?(off = 0) ~max_bytes state buf =
-  if off < 0 || off > String.length buf then invalid_arg "Protocol.decode: offset";
+  if off < 0 || off > String.length buf then
+    invalid_arg "Protocol.decode: offset" (* invariant *);
   if String.length buf = off then Await (Bytes 1)
   else
     match state with

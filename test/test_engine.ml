@@ -212,173 +212,120 @@ let test_estimate_store_hits () =
   Alcotest.(check int) "config bypasses the store" 0
     (bypass.Mae_engine.store_hits + bypass.Mae_engine.store_misses)
 
-(* --- incremental re-estimation: the delta path must be bit-for-bit the
-   full recomputation --- *)
-
-let previous_of circuit =
-  match Mae.Driver.run_circuit ~registry circuit with
-  | Ok r -> r
-  | Error e -> Alcotest.failf "driver: %a" (fun ppf -> Mae.Driver.pp_error ppf) e
-
-let check_reestimate ?(expect_incremental = true) name circuit edit =
-  let previous = previous_of circuit in
-  match Mae_engine.reestimate ~registry ~previous edit with
-  | Error e -> Alcotest.failf "%s: reestimate: %a" name Mae_engine.pp_error e
-  | Ok rr ->
-      let edited =
-        match Mae_engine.apply_edit circuit edit with
-        | Ok c -> c
-        | Error msg -> Alcotest.failf "%s: apply_edit: %s" name msg
-      in
-      let full = previous_of edited in
-      Alcotest.check digests
-        (name ^ ": delta = full recomputation, bit for bit")
-        [ result_digest (Ok full) ]
-        [ result_digest (Ok rr.Mae_engine.report) ];
-      Alcotest.(check bool)
-        (name ^ ": stats updated incrementally")
-        expect_incremental rr.Mae_engine.stats_incremental;
-      Alcotest.(check bool)
-        (name ^ ": incremental stats match a fresh compute")
-        true
-        (Mae_netlist.Stats.equal rr.Mae_engine.stats
-           (Mae_netlist.Stats.compute edited full.Mae.Driver.process));
-      rr
-
-let test_reestimate_add_device () =
+(* Store counts come from per-module lookup flags, so two batches that
+   share one store on two domains each count exactly their own lookups
+   (before/after deltas of the process-wide counters would attribute
+   the overlap to both). *)
+let test_store_counts_concurrent () =
+  let cache = Mae_db.Cas.create () in
+  let n = 150 in
+  let started = Atomic.make 0 in
+  let run batch () =
+    Atomic.incr started;
+    while Atomic.get started < 2 do
+      Domain.cpu_relax ()
+    done;
+    snd (Mae_engine.run_circuits_with_stats ~jobs:1 ~cache ~registry batch)
+  in
+  let other = Domain.spawn (run (random_batch ~first_seed:5000 n)) in
+  let mine = run (random_batch ~first_seed:6000 n) () in
+  let theirs = Domain.join other in
   List.iter
-    (fun circuit ->
+    (fun (name, (s : Mae_engine.stats)) ->
+      Alcotest.(check int)
+        (name ^ ": store_hits + store_misses = its own modules")
+        n
+        (s.store_hits + s.store_misses))
+    [ ("calling domain", mine); ("spawned domain", theirs) ]
+
+(* Every configuration knob the engine exposes must leave the estimates
+   bit-for-bit identical to a sequential driver run: store off/cold/warm
+   x kernel cache on/off x jobs 1/default x telemetry off/on x entry
+   point (one batch, or the same batch split into three groups). *)
+let test_configuration_matrix () =
+  let methods = [ "all" ] in
+  let batch = random_batch ~first_seed:7000 12 in
+  let gold =
+    List.map
+      (fun c ->
+        result_digest
+          (Result.map_error
+             (fun e -> Mae_engine.Driver_error e)
+             (Mae.Driver.run_circuit ~methods ~registry c)))
+      batch
+  in
+  let thirds = List.init 3 (fun g -> List.filteri (fun i _ -> i / 4 = g) batch) in
+  let run_entry ~entry ?cache ~jobs () =
+    match entry with
+    | `Batch ->
+        let results, stats =
+          Mae_engine.run_circuits_with_stats ~methods ~jobs ?cache ~registry
+            batch
+        in
+        (results, stats.Mae_engine.store_hits)
+    | `Grouped ->
+        let grouped, stats =
+          Mae_engine.run_grouped ~methods ~jobs ?cache ~registry thirds
+        in
+        ( List.concat_map (fun (results, _, _) -> results) grouped,
+          stats.Mae_engine.store_hits )
+  in
+  let kernel_cache_was = Mae_prob.Kernel_cache.enabled () in
+  let telemetry_was = Mae_obs.enabled () in
+  Fun.protect
+    ~finally:(fun () ->
+      Mae_prob.Kernel_cache.set_enabled kernel_cache_was;
+      Mae_obs.set_enabled telemetry_was;
+      Mae_obs.Span.reset ())
+  @@ fun () ->
+  List.iter
+    (fun store ->
       List.iter
-        (fun (name, edit) -> ignore (check_reestimate name circuit edit))
-        [
-          ( "add_device new net",
-            Mae_engine.Add_device
-              { name = "zz_new"; kind = "inv"; nets = [ "zz_net" ] } );
-          ( "add_device existing nets",
-            Mae_engine.Add_device
-              {
-                name = "zz_tap";
-                kind = "nand2";
-                nets =
-                  [
-                    circuit.Mae_netlist.Circuit.nets.(0).Mae_netlist.Net.name;
-                    circuit.Mae_netlist.Circuit.nets.(1).Mae_netlist.Net.name;
-                    circuit.Mae_netlist.Circuit.nets.(0).Mae_netlist.Net.name;
-                  ];
-              } );
-        ])
-    (random_batch ~first_seed:4000 3)
-
-let test_reestimate_nets_and_removal () =
-  let circuit = List.hd (random_batch ~first_seed:4100 1) in
-  let rr =
-    check_reestimate "add floating net" circuit
-      (Mae_engine.Add_net { name = "zz_float" })
-  in
-  (* adding a floating net changes no estimator input except the net
-     count: the structured methodologies are all reused *)
-  List.iter
-    (fun m ->
-      Alcotest.(check bool)
-        (Printf.sprintf "add_net reuses %s" m)
-        true
-        (List.mem m rr.Mae_engine.reused))
-    [ "stdcell"; "fullcustom-exact"; "fullcustom-average" ];
-  (* removing it again: first apply the add, then re-estimate the remove *)
-  let grown =
-    match
-      Mae_engine.apply_edit circuit (Mae_engine.Add_net { name = "zz_float" })
-    with
-    | Ok c -> c
-    | Error msg -> Alcotest.failf "grow: %s" msg
-  in
-  ignore
-    (check_reestimate "remove floating net" grown
-       (Mae_engine.Remove_net { name = "zz_float" }));
-  (* device removal breaks fold associativity: full stats recompute,
-     same bit-for-bit contract *)
-  let victim = circuit.Mae_netlist.Circuit.devices.(2).Mae_netlist.Device.name in
-  ignore
-    (check_reestimate ~expect_incremental:false "remove device" circuit
-       (Mae_engine.Remove_device { name = victim }))
-
-let test_reestimate_chained_stats () =
-  (* ?previous_stats makes chaining O(edit): feed each report's stats
-     into the next call and stay bit-for-bit *)
-  let circuit = List.hd (random_batch ~first_seed:4200 1) in
-  let previous = previous_of circuit in
-  let e1 = Mae_engine.Add_net { name = "chain_a" } in
-  let rr1 =
-    match Mae_engine.reestimate ~registry ~previous e1 with
-    | Ok rr -> rr
-    | Error e -> Alcotest.failf "chain 1: %a" Mae_engine.pp_error e
-  in
-  let e2 =
-    Mae_engine.Add_device
-      { name = "chain_dev"; kind = "inv"; nets = [ "chain_a" ] }
-  in
-  let rr2 =
-    match
-      Mae_engine.reestimate ~registry ~previous:rr1.Mae_engine.report
-        ~previous_stats:rr1.Mae_engine.stats e2
-    with
-    | Ok rr -> rr
-    | Error e -> Alcotest.failf "chain 2: %a" Mae_engine.pp_error e
-  in
-  let full =
-    let c1 = Result.get_ok (Mae_engine.apply_edit circuit e1) in
-    previous_of (Result.get_ok (Mae_engine.apply_edit c1 e2))
-  in
-  Alcotest.check digests "chained deltas = full, bit for bit"
-    [ result_digest (Ok full) ]
-    [ result_digest (Ok rr2.Mae_engine.report) ]
-
-let test_apply_edit_errors () =
-  let circuit = S.tiny () in
-  let expect_err name edit =
-    match Mae_engine.apply_edit circuit edit with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.failf "%s: expected apply_edit to refuse" name
-  in
-  expect_err "duplicate device"
-    (Mae_engine.Add_device { name = "i1"; kind = "inv"; nets = [ "a" ] });
-  expect_err "no pins" (Mae_engine.Add_device { name = "x"; kind = "inv"; nets = [] });
-  expect_err "missing device" (Mae_engine.Remove_device { name = "ghost" });
-  expect_err "existing net" (Mae_engine.Add_net { name = "m" });
-  expect_err "missing net" (Mae_engine.Remove_net { name = "ghost" });
-  expect_err "connected net" (Mae_engine.Remove_net { name = "m" });
-  (* net "a" has degree 1 via i1 and is port-bound: both refusals *)
-  expect_err "port-bound net" (Mae_engine.Remove_net { name = "a" });
-  (* and reestimate surfaces the refusal as a typed error *)
-  let previous = previous_of circuit in
-  match
-    Mae_engine.reestimate ~registry ~previous
-      (Mae_engine.Remove_device { name = "ghost" })
-  with
-  | Error (Mae_engine.Invalid_edit { module_name; _ }) ->
-      Alcotest.(check string) "typed error names the module" "tiny" module_name
-  | Error e -> Alcotest.failf "wrong error: %a" Mae_engine.pp_error e
-  | Ok _ -> Alcotest.fail "expected Invalid_edit"
-
-let test_stats_delta_equals_compute () =
-  let process = Mae_tech.Registry.find_exn registry "nmos25" in
-  List.iter
-    (fun circuit ->
-      let stats = Mae_netlist.Stats.compute circuit process in
-      let edit =
-        Mae_engine.Add_device { name = "zz"; kind = "inv"; nets = [ "zz_n" ] }
-      in
-      let grown = Result.get_ok (Mae_engine.apply_edit circuit edit) in
-      let kind = Option.get (Mae_tech.Process.find_device process "inv") in
-      let delta =
-        Mae_netlist.Stats.add_device_delta stats ~kind
-          ~net_count:(Mae_netlist.Circuit.net_count grown)
-          ~net_transitions:[ (0, 1) ]
-      in
-      Alcotest.(check bool) "delta = compute, bitwise" true
-        (Mae_netlist.Stats.equal delta
-           (Mae_netlist.Stats.compute grown process)))
-    (random_batch ~first_seed:4300 4)
+        (fun kernel_cache ->
+          List.iter
+            (fun jobs ->
+              List.iter
+                (fun telemetry ->
+                  List.iter
+                    (fun entry ->
+                      Mae_prob.Kernel_cache.set_enabled kernel_cache;
+                      Mae_obs.set_enabled telemetry;
+                      let cache, expect_hits =
+                        match store with
+                        | `Off -> (None, 0)
+                        | `Cold -> (Some (Mae_db.Cas.create ()), 0)
+                        | `Warm ->
+                            let cas = Mae_db.Cas.create () in
+                            ignore
+                              (Mae_engine.run_circuits ~methods ~cache:cas
+                                 ~registry batch);
+                            (Some cas, List.length batch)
+                      in
+                      let results, hits = run_entry ~entry ?cache ~jobs () in
+                      let cell =
+                        Printf.sprintf
+                          "store=%s kernel_cache=%b jobs=%d telemetry=%b \
+                           entry=%s"
+                          (match store with
+                          | `Off -> "off"
+                          | `Cold -> "cold"
+                          | `Warm -> "warm")
+                          kernel_cache jobs telemetry
+                          (match entry with
+                          | `Batch -> "run_circuits_with_stats"
+                          | `Grouped -> "run_grouped/3")
+                      in
+                      Alcotest.check digests (cell ^ ": = gold, bit for bit")
+                        gold
+                        (List.map result_digest results);
+                      Alcotest.(check int) (cell ^ ": store hits") expect_hits
+                        hits;
+                      Mae_obs.Span.reset ())
+                    [ `Batch; `Grouped ])
+                [ false; true ])
+            [ 1; Mae_engine.default_jobs () ])
+        [ true; false ])
+    [ `Off; `Cold; `Warm ]
 
 let () =
   Alcotest.run "engine"
@@ -398,17 +345,12 @@ let () =
         [
           Alcotest.test_case "repeat batch answers from the store" `Quick
             test_estimate_store_hits;
+          Alcotest.test_case "concurrent batches count their own lookups"
+            `Quick test_store_counts_concurrent;
         ] );
-      ( "reestimate",
+      ( "invariance",
         [
-          Alcotest.test_case "add_device delta = full" `Quick
-            test_reestimate_add_device;
-          Alcotest.test_case "net edits and removal delta = full" `Quick
-            test_reestimate_nets_and_removal;
-          Alcotest.test_case "chained previous_stats stays exact" `Quick
-            test_reestimate_chained_stats;
-          Alcotest.test_case "edit validation" `Quick test_apply_edit_errors;
-          Alcotest.test_case "stats delta = compute" `Quick
-            test_stats_delta_equals_compute;
+          Alcotest.test_case "configuration matrix = sequential driver" `Slow
+            test_configuration_matrix;
         ] );
     ]
