@@ -10,7 +10,8 @@
    2. scrapes GET /metrics and checks the request/ok/failed counters
       against the client tally (and /healthz against the same numbers),
       plus the latency-sketch summary (count, ordered quantiles,
-      request-id exemplars);
+      request-id exemplars) and the batch-size summary, whose _sum
+      must equal the estimate requests sent;
    3. checks GET /slo reports both objectives healthy under this
       friendly load and that GET /statusz renders;
    4. reads the access log back: one serve.request JSON record per
@@ -85,6 +86,8 @@ let unknown_process_hdl i =
 
 type expected = Expect_ok | Expect_failed
 
+let unknown_process_requests = 5
+
 (* 120 requests: 100 valid, 10 malformed JSON, 5 without "hdl",
    5 on an unknown process.  Malformed lines still get a response
    (ok:false), so every request yields exactly one response line. *)
@@ -104,7 +107,7 @@ let corpus =
       List.init 5 (fun i ->
           ( Json.encode (Json.Object [ ("id", Json.Number (Float.of_int i)) ]),
             Expect_failed ));
-      List.init 5 (fun i ->
+      List.init unknown_process_requests (fun i ->
           ( Json.encode
               (Json.Object [ ("hdl", Json.String (unknown_process_hdl i)) ]),
             Expect_failed ));
@@ -162,40 +165,9 @@ let prom_value body name =
   in
   find lines
 
-(* percentile from cumulative Prometheus buckets: smallest bound whose
-   cumulative count covers the rank *)
-let prom_histogram_percentile body name p =
-  let prefix = name ^ "_bucket{le=\"" in
-  let np = String.length prefix in
-  let buckets =
-    List.filter_map
-      (fun line ->
-        if String.length line > np && String.equal (String.sub line 0 np) prefix
-        then
-          match String.index_from_opt line np '"' with
-          | None -> None
-          | Some q -> (
-              let le = String.sub line np (q - np) in
-              match String.rindex_opt line ' ' with
-              | None -> None
-              | Some sp ->
-                  let count =
-                    String.sub line (sp + 1) (String.length line - sp - 1)
-                  in
-                  Some
-                    ( (if String.equal le "+Inf" then Float.infinity
-                       else float_of_string le),
-                      float_of_string count ))
-        else None)
-      (String.split_on_char '\n' body)
-  in
-  let total = prom_value body (name ^ "_count") in
-  let rank = p *. total in
-  let rec scan = function
-    | [] -> Float.nan
-    | (le, cum) :: rest -> if cum >= rank then le else scan rest
-  in
-  scan buckets
+(* one quantile line of an unlabelled summary family *)
+let prom_summary_quantile body name q =
+  prom_value body (Printf.sprintf "%s{quantile=\"%g\"}" name q)
 
 (* --- bit-for-bit: logging must never change an estimate --- *)
 
@@ -748,11 +720,25 @@ let () =
     (m "mae_estimate_cache_hits_total" >= 95)
     "repeat-heavy corpus hit the estimate store %d times (>= 95)"
     (m "mae_estimate_cache_hits_total");
-  let p50 = prom_histogram_percentile metrics_body "mae_serve_request_seconds" 0.50 in
-  let p99 = prom_histogram_percentile metrics_body "mae_serve_request_seconds" 0.99 in
+  let family = "mae_serve_request_seconds_summary" in
+  let p50 = prom_summary_quantile metrics_body family 0.5 in
+  let p99 = prom_summary_quantile metrics_body family 0.99 in
   check
     (Float.is_finite p50 && Float.is_finite p99 && p50 <= p99)
-    "request latency histogram populated (p50 <= %.6fs, p99 <= %.6fs)" p50 p99;
+    "request latency summary populated (p50 %.6fs <= p99 %.6fs)" p50 p99;
+  (* every ok request so far was an estimate, and so was each
+     unknown-process one (it parses, then fails in the engine);
+     malformed and hdl-less lines never reach an engine batch.  Each
+     estimate rides exactly one batch, so the batch-size sketch sums
+     to the estimate count. *)
+  let estimates = !sent_ok + unknown_process_requests in
+  check
+    (m "mae_serve_batch_requests_count" >= 1
+    && m "mae_serve_batch_requests_sum" = estimates)
+    "batch-size summary: %d batches carried %d estimate requests (want %d)"
+    (m "mae_serve_batch_requests_count")
+    (m "mae_serve_batch_requests_sum")
+    estimates;
 
   (* per-methodology counters: the methods=all request ran all eight *)
   List.iter

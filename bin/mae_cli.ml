@@ -391,7 +391,7 @@ let estimate_cmd =
           ~doc:
             "Write the telemetry metrics registry (engine counters, kernel \
              cache hit/miss/race counters, queue-wait gauge, latency \
-             histograms) here after estimating: Prometheus text format, or \
+             sketches) here after estimating: Prometheus text format, or \
              JSON when $(docv) ends in .json.  The path is validated before \
              estimation starts.")
   in
@@ -1039,7 +1039,7 @@ let floorplan_cmd =
 (* generate *)
 
 let run_generate kind size technology =
-  let circuit =
+  let generate () =
     match kind with
     | `Counter -> Mae_workload.Generators.counter ~technology size
     | `Alu -> Mae_workload.Generators.alu ~technology size
@@ -1048,12 +1048,24 @@ let run_generate kind size technology =
     | `Parity -> Mae_workload.Generators.parity ~technology size
     | `Shift -> Mae_workload.Generators.shift_register ~technology size
     | `Random ->
+        let p = Mae_workload.Random_circuit.default_params in
+        (* a circuit smaller than the default output count drives all
+           of its devices out *)
         Mae_workload.Random_circuit.generate
           ~rng:(Mae_prob.Rng.create ~seed:size)
-          { Mae_workload.Random_circuit.default_params with
-            devices = size; technology }
+          { p with
+            devices = size;
+            primary_outputs = Int.min size p.primary_outputs;
+            technology }
   in
-  print_string (Mae_hdl.Printer.to_string circuit)
+  (* the generators reject sizes they cannot build with
+     Invalid_argument; that is a usage error, not a crash *)
+  match generate () with
+  | circuit ->
+      print_string (Mae_hdl.Printer.to_string circuit);
+      `Ok ()
+  | exception Invalid_argument msg ->
+      `Error (true, Printf.sprintf "--size %d: %s" size msg)
 
 let generate_cmd =
   let kind =
@@ -1078,7 +1090,7 @@ let generate_cmd =
   in
   Cmd.v
     (Cmd.info "generate" ~doc:"Emit a parameterized benchmark circuit as HDL.")
-    Term.(const run_generate $ kind $ size $ technology)
+    Term.(ret (const run_generate $ kind $ size $ technology))
 
 (* processes *)
 

@@ -107,8 +107,7 @@ let stage_sketch =
           let sk =
             Mae_obs.Sketch.create metric
               ~help:
-                (Printf.sprintf "Latency quantiles of the %s stage (GK sketch)"
-                   name)
+                (Printf.sprintf "Latency quantiles of the %s stage" name)
           in
           Hashtbl.add tbl name sk;
           sk

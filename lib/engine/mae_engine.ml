@@ -46,22 +46,16 @@ let queue_wait_gauge =
       "Longest delay between batch start and a worker claiming its first \
        module, over the most recent batch (domain spawn + scheduling cost)"
 
-let module_latency =
-  Mae_obs.Metrics.histogram "mae_engine_module_seconds"
-    ~help:"Per-module estimation latency (recorded while telemetry is on)"
-
-(* True quantiles next to the bucketed histogram: same samples, no
-   bucket-edge quantization.  Observed only while telemetry is on,
-   like the histogram. *)
+(* Observed only while telemetry is on. *)
 let module_latency_sketch =
   Mae_obs.Sketch.create "mae_engine_module_seconds_summary"
-    ~help:"Per-module estimation latency quantiles (GK sketch)"
+    ~help:"Per-module estimation latency quantiles"
 
 let queue_wait_sketch =
   Mae_obs.Sketch.create "mae_engine_queue_wait_seconds_summary"
     ~help:
-      "Per-worker delay between batch start and first module claim \
-       (GK sketch; one sample per worker per batch)"
+      "Per-worker delay between batch start and first module claim (one \
+       sample per worker per batch)"
 
 let oversubscribed_gauge =
   Mae_obs.Metrics.gauge "mae_engine_jobs_oversubscribed"
@@ -335,11 +329,9 @@ let map_pool ~jobs ?pool ~t0 f inputs =
     let c1 = Mae_prob.Kernel_cache.local_counts () in
     cache_delta.(w) <- c1.Mae_prob.Kernel_cache.hits - c0.Mae_prob.Kernel_cache.hits;
     miss_delta.(w) <- c1.Mae_prob.Kernel_cache.misses - c0.Mae_prob.Kernel_cache.misses;
-    (* keep the process-wide counters and published sketch summaries
-       exact between batches, even on long-lived pool domains that may
-       never observe again *)
-    Mae_prob.Kernel_cache.flush_local ();
-    Mae_obs.Sketch.flush_local ()
+    (* keep the process-wide counters exact between batches, even on
+       long-lived pool domains that may never look up a kernel again *)
+    Mae_prob.Kernel_cache.flush_local ()
   in
   (match (pool, workers) with
   | _, 1 -> worker 0
@@ -416,15 +408,13 @@ let estimate_one ?config ?methods ?cache ~registry
                     (r, `Miss)))))
   in
   (* latency sampling honours telemetry like spans do; with it off the
-     per-module cost is one atomic read, no closures into [time], no
-     clock reads, no sketch buffer stores.  [run] never raises (crashes
-     are folded into [Error (Crashed _)]), so plain sequencing is safe. *)
+     per-module cost is one atomic read, no clock reads, no sketch
+     observation.  [run] never raises (crashes are folded into
+     [Error (Crashed _)]), so plain sequencing is safe. *)
   if Mae_obs.Control.enabled () then begin
     let t0 = Mae_obs.Clock.monotonic () in
     let r = run () in
-    let d = Mae_obs.Clock.monotonic () -. t0 in
-    Mae_obs.Metrics.observe module_latency d;
-    Mae_obs.Sketch.observe module_latency_sketch d;
+    Mae_obs.Sketch.observe module_latency_sketch (Mae_obs.Clock.monotonic () -. t0);
     r
   end
   else run ()

@@ -6,13 +6,13 @@
      recorded into lock-free-per-domain buffers and exported by
      {!Trace} as Chrome trace-event JSON (one lane per domain) or a
      plain-text flame summary.
-   - {!Metrics}: named counters, gauges and log-bucketed latency
-     histograms with Prometheus-text and JSON dumps.  Counters and
-     gauges are always live; they back [Kernel_cache.stats] and the
-     engine's [--stats] line.
-   - {!Sketch}: mergeable GK quantile summaries (true p50/p99/p999,
-     no bucket edges) with per-domain buffers and request-id
-     exemplars; rides along in every /metrics dump.
+   - {!Metrics}: named counters and gauges with Prometheus-text and
+     JSON dumps.  They are always live; they back
+     [Kernel_cache.stats] and the engine's [--stats] line.
+   - {!Sketch}: the one distribution primitive -- mergeable
+     log-bucket quantile sketches (p50/p99/p999 within 0.5% relative
+     error) with request-id exemplars; rides along in every /metrics
+     dump.
    - {!Slo}: declarative latency / error-rate objectives with
      fast+slow rolling burn-rate windows; backs GET /slo, /statusz
      and the /healthz 503 degradation.

@@ -6,7 +6,7 @@
    [poll_interval_s], folding
 
    - top-level pause windows (any nest of runtime phases from depth 0
-     back to depth 0 -- the olly measurement convention) into one GK
+     back to depth 0 -- the olly measurement convention) into one
      sketch per ring, labelled {domain="<ring>"}, exported as the
      mae_gc_pause_seconds_summary family;
    - collection / allocation / promotion counters into mae_gc_*
@@ -16,12 +16,15 @@
      tagging and (b) feeds gc.* spans into the Chrome-trace export via
      the Trace provider hook.
 
-   The sampler is a domain rather than a sys-thread so its sketch
-   observations land in domain-private DLS buffers instead of racing
-   with the server thread's on domain 0.  All consumer state is
-   guarded by one mutex; [read_poll] and the callback mutations run
-   inside it, and the per-poll Sketch.flush_local publishes what the
-   poll observed before the lock is released.
+   The sampler is a domain rather than a sys-thread because a
+   sys-thread runs OCaml code only while it holds its domain's runtime
+   lock: on domain 0 every poll would take turns with the serve loop
+   or a sequential batch for that lock, and the threads library would
+   become a dependency of this one.  Whether a whole domain is worth
+   that is the lens-budget question in ROADMAP.md.  All consumer state
+   is guarded by one mutex; [read_poll] and the callback mutations run
+   inside it.  Pause sketches are shared by all domains, so a quantile
+   read sees every pause a poll has folded in.
 
    Off means off: every query gate is a single Atomic.get, nothing is
    registered, no cursor exists, no file is created.  [start] is the
@@ -37,7 +40,6 @@
 module RE = Runtime_events
 
 let recent_cap = 8192
-let pause_eps = 0.005
 
 type ring = {
   ring_id : int;
@@ -141,7 +143,6 @@ let ring_state ring_id =
           ring_id;
           sketch =
             Sketch.create ~help:"GC pause duration per domain"
-              ~eps:pause_eps
               ~labels:[ ("domain", string_of_int ring_id) ]
               "mae_gc_pause_seconds_summary";
           depth = 0;
@@ -252,9 +253,6 @@ let poll () =
         Metrics.set ins.heap_g (float_of_int !heap);
         Metrics.set ins.domains_g (float_of_int (Hashtbl.length rings))
     | None -> ());
-    (* publish what this poll observed into the calling domain's
-       sketch buffers before anyone else reads quantiles *)
-    if n > 0 then Sketch.flush_local ();
     Mutex.unlock lock;
     n
   end
@@ -364,7 +362,7 @@ let domains () =
       rings []
   in
   Mutex.unlock lock;
-  (* quantile reads flush/merge sketch state; do them off the lock *)
+  (* quantile reads take each sketch's own lock; do them off ours *)
   copies
   |> List.map
        (fun

@@ -1,40 +1,27 @@
-(* Greenwald–Khanna quantile summaries with per-domain write buffers.
+(* Log-bucket quantile sketches (DDSketch: Masson, Rim & Lee, VLDB 2019).
 
-   Each domain owns a [local]: a flat sample buffer (no locks, no
-   sharing) plus an immutable GK summary published through an Atomic.
-   Owners fold the buffer into a fresh summary and republish; readers
-   grab every domain's published summary and answer rank queries over
-   the concatenation -- the classic mergeable-summary argument gives a
-   combined rank error of sum_d eps * n_d = eps * n.
+   Bucket k counts the values in (gamma^(k-1), gamma^k]; answering a
+   query with the bucket midpoint 2 gamma^k / (gamma + 1) is off by at
+   most (gamma - 1) / (gamma + 1) = alpha relative to any value in the
+   bucket.  The regular buckets span (floor_v, ceiling_v]; slot 0
+   counts everything at or below the floor (and NaN), the last slot
+   everything above the ceiling.  With alpha = 0.005 that is 3 457
+   slots, one int each.
 
-   GK invariant maintained here: every tuple (v, g, d) satisfies
-   g + d <= floor(2 * eps * n) (new tuples get
-   d = floor(2 eps n) - 1, compression merges a tuple into its right
-   neighbour only while the sum respects the cap), which bounds the
-   rank uncertainty of any query by eps * n.  The first and last
-   tuples are never merged away, so min and max stay exact. *)
+   One mutex per sketch guards the counters and the exact
+   count/sum/min/max: an observation is a log, a few array stores and
+   an uncontended lock, with nothing allocated.  Readers copy under the
+   same lock, so there is no per-domain state to publish or flush. *)
 
-let buf_cap = 256
+let alpha = 0.005
+let gamma = (1. +. alpha) /. (1. -. alpha)
+let log_gamma = Float.log gamma
+let floor_v = 1e-9
+let ceiling_v = 1e6
+let k_lo = int_of_float (Float.ceil (Float.log floor_v /. log_gamma))
+let k_hi = int_of_float (Float.ceil (Float.log ceiling_v /. log_gamma))
+let slots = k_hi - k_lo + 3 (* underflow + regular + overflow *)
 let exemplar_slots = 4
-
-type tuple = { v : float; g : int; d : int }
-
-type summary = {
-  s_n : int;
-  s_sum : float;
-  s_min : float;  (* nan when empty *)
-  s_max : float;
-  s_tuples : tuple list;  (* ascending v *)
-}
-
-let empty_summary =
-  { s_n = 0; s_sum = 0.; s_min = Float.nan; s_max = Float.nan; s_tuples = [] }
-
-type local = {
-  l_buf : float array;
-  mutable l_n : int;  (* owner-mutated; invisible to readers until flush *)
-  l_published : summary Atomic.t;
-}
 
 type exemplar = { ex_v : float; ex_label : string; ex_wall : float }
 
@@ -42,16 +29,16 @@ type t = {
   sk_name : string;
   sk_labels : (string * string) list;  (* sorted by key; [] = unlabeled *)
   sk_help : string;
-  sk_eps : float;
-  sk_lock : Mutex.t;  (* guards sk_locals *)
-  mutable sk_locals : local list;
-  sk_key : local Domain.DLS.key;
+  sk_lock : Mutex.t;  (* guards the three fields below *)
+  mutable sk_counts : int array;  (* [slots] long; [||] until first observe *)
+  mutable sk_n : int;
+  sk_stats : float array;  (* sum, min, max: a flat float array, so
+                              updating them allocates nothing *)
   sk_exemplars : exemplar option Atomic.t array;
 }
 
 let name t = t.sk_name
 let labels t = t.sk_labels
-let eps t = t.sk_eps
 
 (* Canonical "k=v,k=v" form: the registry key suffix and the sort key
    that keeps a family's series adjacent in [all]. *)
@@ -83,164 +70,64 @@ let lint_labels labels =
     <> List.length labels
   then invalid_arg "Mae_obs.Sketch: duplicate label name"
 
-(* --- GK core --- *)
-
-let cap_of eps n = int_of_float (2. *. eps *. float_of_int n)
-
-(* Insert an ascending batch, one logical observation at a time (the
-   running count [n] grows per element, so each new tuple's d is taken
-   at its own insertion time -- the conservative choice). *)
-let insert_sorted eps s values =
-  if values = [] then s
-  else begin
-    let n = ref s.s_n in
-    let rec go tuples values acc =
-      match (tuples, values) with
-      | _, [] -> List.rev_append acc tuples
-      | t :: ts, v :: _ when v >= t.v -> go ts values (t :: acc)
-      | _, v :: vs ->
-          (* new minimum (acc = []) or new maximum (tuples = []) are
-             exact; interior inserts get the GK delta *)
-          let d =
-            if acc = [] || tuples = [] then 0
-            else max 0 (cap_of eps !n - 1)
-          in
-          incr n;
-          go tuples vs ({ v; g = 1; d } :: acc)
-    in
-    let tuples = go s.s_tuples values [] in
-    let vmin = List.hd values in
-    let vmax = List.fold_left (fun _ v -> v) vmin values in
-    {
-      s_n = !n;
-      s_sum = List.fold_left ( +. ) s.s_sum values;
-      s_min = (if Float.is_nan s.s_min then vmin else Float.min s.s_min vmin);
-      s_max = (if Float.is_nan s.s_max then vmax else Float.max s.s_max vmax);
-      s_tuples = tuples;
-    }
-  end
-
-let compress eps s =
-  match s.s_tuples with
-  | [] | [ _ ] -> s
-  | first :: rest ->
-      let cap = cap_of eps s.s_n in
-      let rec go acc = function
-        | t1 :: t2 :: ts when t1.g + t2.g + t2.d <= cap ->
-            go acc ({ t2 with g = t1.g + t2.g } :: ts)
-        | t :: ts -> go (t :: acc) ts
-        | [] -> List.rev acc
-      in
-      { s with s_tuples = first :: go [] rest }
-
-(* Rank query over the concatenation of summaries (tuples pre-sorted
-   by value): pick the tuple whose [rmin, rmax] interval sits closest
-   to the target rank. *)
-let query_sorted tuples n q =
-  if n = 0 then None
-  else begin
-    let r =
-      max 1 (min n (int_of_float (Float.ceil (q *. float_of_int n))))
-    in
-    let best_err = ref max_int and best_v = ref Float.nan in
-    let rmin = ref 0 in
-    List.iter
-      (fun t ->
-        rmin := !rmin + t.g;
-        let rmax = !rmin + t.d in
-        let err = max (r - !rmin) (rmax - r) in
-        if err < !best_err then begin
-          best_err := err;
-          best_v := t.v
-        end)
-      tuples;
-    if !best_err = max_int then None else Some !best_v
-  end
-
-(* --- registry and per-domain plumbing --- *)
+(* --- registry --- *)
 
 let registry_lock = Mutex.create ()
 let registry : (string, t) Hashtbl.t = Hashtbl.create 8
 
-let flush_one t l =
-  if l.l_n > 0 then begin
-    let values =
-      List.sort Float.compare (Array.to_list (Array.sub l.l_buf 0 l.l_n))
-    in
-    let s = Atomic.get l.l_published in
-    let s = compress t.sk_eps (insert_sorted t.sk_eps s values) in
-    Atomic.set l.l_published s;
-    l.l_n <- 0
-  end
+let empty_stats () = [| 0.; Float.infinity; Float.neg_infinity |]
 
-let create ?(help = "") ?eps ?(labels = []) name =
+let create ?(help = "") ?(labels = []) name =
   Metrics.lint_name ~what:"Mae_obs.Sketch" name;
   lint_labels labels;
   let labels =
     List.sort (fun (a, _) (b, _) -> String.compare a b) labels
   in
-  (match eps with
-  | Some e when not (e > 0. && e < 0.5) ->
-      invalid_arg "Mae_obs.Sketch: eps must be in (0, 0.5)"
-  | _ -> ());
   let key = name ^ "{" ^ label_key labels ^ "}" in
   Mutex.lock registry_lock;
-  let result =
+  let t =
     match Hashtbl.find_opt registry key with
-    | Some t -> (
-        match eps with
-        | Some e when e <> t.sk_eps -> Error t.sk_eps
-        | _ -> Ok t)
+    | Some t -> t
     | None ->
-        let eps = Option.value eps ~default:0.001 in
-        (* The DLS initializer closes over the sketch it belongs to;
-           tie the knot through a ref (the initializer only runs on a
-           domain's first observe, long after [create] returns). *)
-        let self = ref None in
         let t =
           {
             sk_name = name;
             sk_labels = labels;
             sk_help = help;
-            sk_eps = eps;
             sk_lock = Mutex.create ();
-            sk_locals = [];
-            sk_key =
-              Domain.DLS.new_key (fun () ->
-                  let t = Option.get !self in
-                  let l =
-                    {
-                      l_buf = Array.make buf_cap 0.;
-                      l_n = 0;
-                      l_published = Atomic.make empty_summary;
-                    }
-                  in
-                  Mutex.lock t.sk_lock;
-                  t.sk_locals <- l :: t.sk_locals;
-                  Mutex.unlock t.sk_lock;
-                  Domain.at_exit (fun () -> flush_one t l);
-                  l);
+            sk_counts = [||];
+            sk_n = 0;
+            sk_stats = empty_stats ();
             sk_exemplars =
               Array.init exemplar_slots (fun _ -> Atomic.make None);
           }
         in
-        self := Some t;
         Hashtbl.add registry key t;
-        Ok t
+        t
   in
   Mutex.unlock registry_lock;
-  match result with
-  | Ok t -> t
-  | Error existing ->
-      invalid_arg
-        (Printf.sprintf
-           "Mae_obs.Sketch: %s already registered with eps %g" name existing)
+  t
+
+(* --- observation --- *)
+
+let slot v =
+  if not (v > floor_v) then 0
+  else if v > ceiling_v then slots - 1
+  else
+    let k = int_of_float (Float.ceil (Float.log v /. log_gamma)) in
+    Int.max k_lo (Int.min k_hi k) - k_lo + 1
 
 let observe t v =
-  let l = Domain.DLS.get t.sk_key in
-  l.l_buf.(l.l_n) <- v;
-  l.l_n <- l.l_n + 1;
-  if l.l_n >= buf_cap then flush_one t l
+  let i = slot v in
+  Mutex.lock t.sk_lock;
+  if Array.length t.sk_counts = 0 then t.sk_counts <- Array.make slots 0;
+  t.sk_counts.(i) <- t.sk_counts.(i) + 1;
+  t.sk_n <- t.sk_n + 1;
+  let st = t.sk_stats in
+  st.(0) <- st.(0) +. v;
+  if v < st.(1) then st.(1) <- v;
+  if v > st.(2) then st.(2) <- v;
+  Mutex.unlock t.sk_lock
 
 let offer_exemplar t ~label v =
   let slots = t.sk_exemplars in
@@ -277,83 +164,91 @@ let all () =
       | c -> c)
     l
 
-let flush_local () =
-  List.iter (fun t -> flush_one t (Domain.DLS.get t.sk_key)) (all ())
+(* --- reads --- *)
 
-(* --- merged reads --- *)
-
-type merged = {
-  m_n : int;
-  m_sum : float;
-  m_min : float;
-  m_max : float;
-  m_tuples : tuple list;
-  m_domains : int;  (* summaries with samples *)
+(* A consistent copy of one sketch, or the bucket-wise sum of several. *)
+type state = {
+  s_counts : int array;  (* [||] when nothing was ever observed *)
+  s_n : int;
+  s_sum : float;
+  s_lo : float;
+  s_hi : float;
 }
 
-let merged t =
-  flush_one t (Domain.DLS.get t.sk_key);
+let read t =
   Mutex.lock t.sk_lock;
-  let locals = t.sk_locals in
-  Mutex.unlock t.sk_lock;
-  let summaries =
-    List.filter_map
-      (fun l ->
-        let s = Atomic.get l.l_published in
-        if s.s_n = 0 then None else Some s)
-      locals
-  in
-  let tuples =
-    List.concat_map (fun s -> s.s_tuples) summaries
-    |> List.sort (fun a b -> Float.compare a.v b.v)
-  in
-  List.fold_left
-    (fun m s ->
-      {
-        m with
-        m_n = m.m_n + s.s_n;
-        m_sum = m.m_sum +. s.s_sum;
-        m_min =
-          (if Float.is_nan m.m_min then s.s_min else Float.min m.m_min s.s_min);
-        m_max =
-          (if Float.is_nan m.m_max then s.s_max else Float.max m.m_max s.s_max);
-        m_domains = m.m_domains + 1;
-      })
+  let st =
     {
-      m_n = 0;
-      m_sum = 0.;
-      m_min = Float.nan;
-      m_max = Float.nan;
-      m_tuples = tuples;
-      m_domains = 0;
+      s_counts = Array.copy t.sk_counts;
+      s_n = t.sk_n;
+      s_sum = t.sk_stats.(0);
+      s_lo = t.sk_stats.(1);
+      s_hi = t.sk_stats.(2);
     }
-    summaries
-
-let quantile t q =
-  let m = merged t in
-  query_sorted m.m_tuples m.m_n q
-
-(* Pooled rank query across several sketches (e.g. one per domain
-   label): classic mergeable-summary argument again, total rank error
-   sum_i eps_i * n_i. *)
-let quantile_of_many ts q =
-  let ms = List.map merged ts in
-  let tuples =
-    List.concat_map (fun m -> m.m_tuples) ms
-    |> List.sort (fun a b -> Float.compare a.v b.v)
   in
-  let n = List.fold_left (fun acc m -> acc + m.m_n) 0 ms in
-  query_sorted tuples n q
+  Mutex.unlock t.sk_lock;
+  st
+
+let merge a b =
+  let counts =
+    if Array.length a.s_counts = 0 then b.s_counts
+    else if Array.length b.s_counts = 0 then a.s_counts
+    else Array.map2 ( + ) a.s_counts b.s_counts
+  in
+  {
+    s_counts = counts;
+    s_n = a.s_n + b.s_n;
+    s_sum = a.s_sum +. b.s_sum;
+    s_lo = Float.min a.s_lo b.s_lo;
+    s_hi = Float.max a.s_hi b.s_hi;
+  }
+
+(* The answer for slot [i], clamped into the exact [lo, hi]. *)
+let slot_value st i =
+  let v =
+    if i = 0 then 0.
+    else if i = slots - 1 then st.s_hi
+    else 2. *. Float.pow gamma (float_of_int (i - 1 + k_lo)) /. (gamma +. 1.)
+  in
+  Float.min st.s_hi (Float.max st.s_lo v)
+
+(* Every requested quantile in one cumulative walk: ranks grow with q,
+   so the ascending query list never moves the cursor backwards. *)
+let answer st qs =
+  if st.s_n = 0 then []
+  else begin
+    let i = ref 0 and cum = ref st.s_counts.(0) in
+    List.map
+      (fun q ->
+        let r =
+          Int.max 1
+            (Int.min st.s_n (int_of_float (Float.ceil (q *. float_of_int st.s_n))))
+        in
+        while !cum < r do
+          incr i;
+          cum := !cum + st.s_counts.(!i)
+        done;
+        (q, slot_value st !i))
+      (List.sort_uniq Float.compare qs)
+  end
+
+let quantile_of_state st q =
+  match answer st [ q ] with [ (_, v) ] -> Some v | _ -> None
+
+let quantile t q = quantile_of_state (read t) q
+
+let quantile_of_many ts q =
+  match List.map read ts with
+  | [] -> None
+  | st :: rest -> quantile_of_state (List.fold_left merge st rest) q
 
 type snapshot = {
   n : int;
   sum : float;
   min_v : float;
   max_v : float;
-  eps : float;
   quantiles : (float * float) list;
   exemplars : (float * string * float) list;
-  tuples : int;
 }
 
 let default_qs = [ 0.5; 0.9; 0.95; 0.99; 0.999 ]
@@ -367,31 +262,23 @@ let exemplars t =
   |> List.sort (fun (a, _, _) (b, _, _) -> Float.compare b a)
 
 let snapshot ?(qs = default_qs) t =
-  let m = merged t in
+  let st = read t in
+  let empty = st.s_n = 0 in
   {
-    n = m.m_n;
-    sum = m.m_sum;
-    min_v = m.m_min;
-    max_v = m.m_max;
-    eps = t.sk_eps;
-    quantiles =
-      List.filter_map
-        (fun q ->
-          Option.map (fun v -> (q, v)) (query_sorted m.m_tuples m.m_n q))
-        qs;
+    n = st.s_n;
+    sum = st.s_sum;
+    min_v = (if empty then Float.nan else st.s_lo);
+    max_v = (if empty then Float.nan else st.s_hi);
+    quantiles = answer st qs;
     exemplars = exemplars t;
-    tuples = List.length m.m_tuples;
   }
-
-let rank_error_bound t ~n ~domains =
-  (t.sk_eps *. float_of_int n) +. float_of_int domains
 
 let reset t =
   Mutex.lock t.sk_lock;
-  let locals = t.sk_locals in
+  Array.fill t.sk_counts 0 (Array.length t.sk_counts) 0;
+  t.sk_n <- 0;
+  Array.blit (empty_stats ()) 0 t.sk_stats 0 3;
   Mutex.unlock t.sk_lock;
-  List.iter (fun l -> Atomic.set l.l_published empty_summary) locals;
-  (Domain.DLS.get t.sk_key).l_n <- 0;
   Array.iter (fun slot -> Atomic.set slot None) t.sk_exemplars
 
 (* --- exposition --- *)
@@ -466,10 +353,8 @@ let to_json_body () =
                (List.map (fun (k, v) -> (k, Json.String v)) t.sk_labels) );
          ])
       @ [
-        ("eps", Json.Number s.eps);
         ("count", Json.Number (float_of_int s.n));
         ("sum", Json.Number s.sum);
-        ("tuples", Json.Number (float_of_int s.tuples));
       ]
     in
     let extremes =

@@ -1,48 +1,47 @@
 (** Mergeable, bounded-memory streaming quantile sketches
-    (Greenwald–Khanna summaries with per-domain buffers).
+    (log-bucket summaries in the style of DDSketch: Masson, Rim & Lee,
+    VLDB 2019).
 
-    A sketch answers rank queries over everything it has observed with
-    a proven bound: for a sketch created with error [eps], the value
-    returned for quantile [q] has true rank within [eps * n] of
-    [q * n] (plus one rank per merged per-domain summary, from
-    integer rounding).  Memory is [O((1/eps) * log(eps * n))] tuples
-    per domain regardless of stream length -- unlike a histogram there
-    is no bucket-edge quantization, and unlike a sorted reservoir
-    there is no sampling error.
+    A sketch counts observations in logarithmically sized buckets:
+    bucket [k] holds the values in [(gamma^(k-1), gamma^k]] with
+    [gamma = (1 + alpha) / (1 - alpha)], and a quantile query answers
+    with the bucket's midpoint [2 gamma^k / (gamma + 1)].  When the
+    exact order statistic at rank [max 1 (ceil (q * n))] lies between
+    a floor of [1e-9] and a ceiling of [1e6], the answer is within
+    relative error {!alpha} of it.  Observations at or below the floor
+    share one underflow bucket (answered as 0), those above the
+    ceiling one overflow bucket (answered as the exact maximum); every
+    answer is clamped to the exact [[min, max]] of the stream.  Count,
+    sum, min and max are exact.
 
-    Concurrency follows the [Kernel_cache] tally discipline: each
-    domain observes into a private buffer (no locks, no shared cache
-    lines) which is folded into that domain's published summary when
-    the buffer fills, when {!flush_local} is called (the engine's
-    workers do this at the end of every batch), and at domain exit.
-    Reads merge the published summaries of all domains; call them
-    after in-flight work has joined, like {!Span.events}.
-
-    Observation cost with telemetry enabled is an array store; the
-    caller is expected to gate on {!Control.enabled} alongside its
-    histogram observation (see [Mae_engine.estimate_one]). *)
+    Storage is one fixed array of bucket counters per sketch, shared by
+    all domains and allocated on the sketch's first observation, so a
+    sketch that never observes (telemetry off) costs a few words.  An
+    observation takes the sketch's mutex for a handful of stores and
+    allocates nothing; reads copy the counters under the same mutex,
+    so every read sees every observation that returned before it.
+    Sketches merge by adding their counter arrays
+    ({!quantile_of_many}), with the same relative-error guarantee. *)
 
 type t
 
-val create :
-  ?help:string -> ?eps:float -> ?labels:(string * string) list -> string -> t
+val alpha : float
+(** Relative accuracy of every quantile answer: [0.005] (0.5%). *)
+
+val create : ?help:string -> ?labels:(string * string) list -> string -> t
 (** [create name] registers (or returns, idempotently) the sketch
     called [name].  [name] must match [mae_[a-z0-9_]*] -- same lint as
-    {!Metrics}.  [eps] is the rank-error fraction (default [0.001],
-    i.e. p99.9 resolved to one part in a thousand); omitting it on a
-    re-registration accepts whatever the sketch was created with.
-    [labels] attaches constant label pairs ([[("domain", "3")]]); the
-    registry keys on (name, labels), so differently-labelled sketches
-    with the same name form one Prometheus family whose series carry
-    the labels (merged with the [quantile] label) and whose HELP/TYPE
-    metadata is emitted once.  Label names must match
-    [[a-z_][a-z0-9_]*] and values must not contain quotes,
-    backslashes or newlines.
-    Raises [Invalid_argument] on a bad name or label, [eps] outside
-    (0, 0.5), or an explicit [eps] differing from the registered one. *)
+    {!Metrics}.  [labels] attaches constant label pairs
+    ([[("domain", "3")]]); the registry keys on (name, labels), so
+    differently-labelled sketches with the same name form one
+    Prometheus family whose series carry the labels (merged with the
+    [quantile] label) and whose HELP/TYPE metadata is emitted once.
+    Label names must match [[a-z_][a-z0-9_]*] and values must not
+    contain quotes, backslashes or newlines.
+    Raises [Invalid_argument] on a bad name or label. *)
 
 val observe : t -> float -> unit
-(** Record one sample from the calling domain. *)
+(** Record one sample; safe from any domain. *)
 
 val observe_exemplar : t -> label:string -> float -> unit
 (** {!observe}, additionally offering [(label, value)] as an exemplar:
@@ -51,57 +50,41 @@ val observe_exemplar : t -> label:string -> float -> unit
     /tracez.  Exemplar slots are global and racy-by-design; losing one
     under contention is acceptable. *)
 
-val flush_local : unit -> unit
-(** Publish the calling domain's pending buffers for every registered
-    sketch.  Engine workers call this at the end of each batch, and it
-    runs automatically at domain exit. *)
-
 val quantile : t -> float -> float option
-(** [quantile t q] for [q] in [[0, 1]]: a value whose rank is within
-    the advertised bound of [q * n].  [None] when empty.  Flushes the
-    calling domain's buffer first. *)
+(** [quantile t q] for [q] in [[0, 1]]: within {!alpha} relative error
+    of the exact order statistic at rank [max 1 (ceil (q * n))].
+    [None] when empty. *)
 
 val quantile_of_many : t list -> float -> float option
-(** Pooled rank query over the union of several sketches' streams --
-    used to answer "p99 GC pause across all domains" from the
-    per-domain labelled sketches.  Same mergeable-summary bound,
-    summed over members.  [None] when all are empty. *)
+(** Pooled query over the union of several sketches' streams (their
+    bucket arrays summed) -- used to answer "p99 GC pause across all
+    domains" from the per-domain labelled sketches.  Same bound.
+    [None] when all are empty. *)
 
 type snapshot = {
-  n : int;  (** published sample count *)
+  n : int;  (** sample count *)
   sum : float;
   min_v : float;  (** [nan] when empty *)
   max_v : float;  (** [nan] when empty *)
-  eps : float;
-  quantiles : (float * float) list;  (** [(q, value)] pairs *)
+  quantiles : (float * float) list;  (** [(q, value)], ascending [q] *)
   exemplars : (float * string * float) list;
       (** [(value, label, wall_ts)], largest first *)
-  tuples : int;  (** resident summary tuples across all domains *)
 }
 
 val snapshot : ?qs:float list -> t -> snapshot
-(** Merged view across domains.  Default [qs] are
-    [0.5; 0.9; 0.95; 0.99; 0.999]. *)
-
-val rank_error_bound : t -> n:int -> domains:int -> float
-(** The advertised worst-case rank error for a merged query:
-    [eps * n + domains] (the additive term covers per-summary integer
-    rounding).  Property tests assert against exactly this. *)
+(** One consistent read, every quantile answered in one pass over the
+    buckets.  Default [qs] are [0.5; 0.9; 0.95; 0.99; 0.999]. *)
 
 val name : t -> string
 
 val labels : t -> (string * string) list
 (** Constant labels this sketch was created with, sorted by name. *)
 
-val eps : t -> float
-
 val all : unit -> t list
 (** Registered sketches, sorted by (name, labels). *)
 
 val reset : t -> unit
-(** Drop all published summaries, exemplars and the calling domain's
-    pending buffer.  Other domains' pending buffers survive until
-    their next flush; tests reset between joined phases. *)
+(** Drop every observation and exemplar. *)
 
 val to_prometheus : unit -> string
 (** Prometheus [summary]-typed exposition for every registered

@@ -7,8 +7,8 @@
    {!Mae_engine.run_grouped} fan-out per method selection -- one pool
    submission instead of one per request), and answers every job of
    the prefix with the full per-request bookkeeping: seq/rid, latency
-   histogram + sketch exemplar, SLO events, tail capture, the access
-   log record, the response write.
+   sketch + exemplar, SLO events, tail capture, the access log record,
+   the response write.
 
    Admission control lives at the front door: when the queued estimate
    count is at the watermark, a new estimate is answered 503 +
@@ -46,21 +46,17 @@ let queue_depth_gauge =
     ~help:"Jobs waiting in the dispatch queue right now"
 
 let batch_requests =
-  Metrics.histogram "mae_serve_batch_requests"
-    ~buckets:[| 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128. |]
+  Mae_obs.Sketch.create "mae_serve_batch_requests"
     ~help:
       "Estimate requests per engine batch (a lone request is a batch of 1)"
 
-let request_latency =
-  Metrics.histogram "mae_serve_request_seconds"
-    ~help:"Per-request service latency (receipt of a line to its response)"
-
-(* The same samples as the histogram, without bucket-edge
-   quantization; exemplars carry the request ids of the slowest
-   requests so /metrics cross-links to /tracez. *)
+(* Exemplars carry the request ids of the slowest requests so /metrics
+   cross-links to /tracez. *)
 let request_latency_sketch =
   Mae_obs.Sketch.create "mae_serve_request_seconds_summary"
-    ~help:"Per-request service latency quantiles (GK sketch)"
+    ~help:
+      "Per-request service latency quantiles (receipt of a line to its \
+       response)"
 
 (* --- response assembly --- *)
 
@@ -335,7 +331,6 @@ let answer t job ~id outcome =
     Mae_obs.Span.with_ ~name:"serve.request" ~attrs:[ ("rid", rid) ] outcome
   in
   let latency = Mae_obs.Clock.monotonic () -. t0 in
-  Metrics.observe request_latency latency;
   (* the sketch carries the request id as an exemplar so a bad
      quantile in /metrics links back to a trace in /tracez *)
   Mae_obs.Sketch.observe_exemplar request_latency_sketch ~label:rid latency;
@@ -468,7 +463,7 @@ let prepare_batch t ests =
       let methods =
         match members with (_, est, _) :: _ -> est.Protocol.methods | [] -> None
       in
-      Metrics.observe batch_requests (Float.of_int (List.length members));
+      Mae_obs.Sketch.observe batch_requests (Float.of_int (List.length members));
       match
         Mae_obs.Span.with_ ~name:"serve.batch"
           ~attrs:[ ("requests", string_of_int (List.length members)) ]

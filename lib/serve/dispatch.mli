@@ -5,7 +5,7 @@
     a queue prefix, coalesces its estimate jobs into engine batches
     (one {!Mae_engine.run_grouped} fan-out per method selection) and
     answers every job with the full per-request bookkeeping: seq/rid,
-    latency histogram + sketch exemplar, SLO events, tail capture,
+    latency sketch + exemplar, SLO events, tail capture,
     the access-log record, the response write.
 
     Admission control: at the queue-depth watermark a new estimate is

@@ -367,8 +367,8 @@ let statusz_body st =
       | Some v -> Printf.sprintf "%.0fus" (v *. 1e6)
       | None -> "-"
     in
-    line "request latency: p50 %s  p90 %s  p95 %s  p99 %s  p999 %s (n=%d, eps=%g)"
-      (q 0.5) (q 0.9) (q 0.95) (q 0.99) (q 0.999) s.n s.eps
+    line "request latency: p50 %s  p90 %s  p95 %s  p99 %s  p999 %s (n=%d)"
+      (q 0.5) (q 0.9) (q 0.95) (q 0.99) (q 0.999) s.n
   end;
   let caps = Mae_obs.Capture.captures () in
   let errored =

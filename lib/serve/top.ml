@@ -335,13 +335,21 @@ let quantile_cells samples name =
   in
   (cell 0.5, cell 0.9, cell 0.99, cell 0.999)
 
-(* every per-methodology sketch the scrape exposes, without the
-   dashboard having to know the methodology registry *)
+(* every latency sketch the scrape exposes, without the dashboard
+   having to know the methodology registry.  Only families measured in
+   seconds: other summaries (batch sizes in requests) would print as
+   microseconds. *)
 let summary_metrics samples =
+  let seconds name =
+    List.exists
+      (fun suffix -> String.ends_with ~suffix name)
+      [ "_seconds"; "_seconds_summary" ]
+  in
   List.sort_uniq String.compare
     (List.filter_map
        (fun s ->
-         if s.pm_quantile <> None then Some s.pm_name else None)
+         if s.pm_quantile <> None && seconds s.pm_name then Some s.pm_name
+         else None)
        samples)
 
 let render ?prev (s : sample) =

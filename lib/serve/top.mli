@@ -1,7 +1,7 @@
 (** The [mae top] live dashboard: poll a running serve instance's
     observability plane ([/metrics], [/slo], [/tracez], [/runtimez])
     and render a text frame per interval -- throughput, cache hit
-    ratio, SLO burn rates, per-method latency quantiles from the GK
+    ratio, SLO burn rates, per-method latency quantiles from the
     sketches, a per-domain GC pane (pause quantiles, collections/s,
     allocation rate), and the worst recently captured traces.
 

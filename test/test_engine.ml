@@ -240,8 +240,10 @@ let test_store_counts_concurrent () =
 
 (* Every configuration knob the engine exposes must leave the estimates
    bit-for-bit identical to a sequential driver run: store off/cold/warm
-   x kernel cache on/off x jobs 1/default x telemetry off/on x entry
-   point (one batch, or the same batch split into three groups). *)
+   x kernel cache on/off x jobs 1/default x telemetry off / on / on with
+   the runtime lens running x entry point (one batch, or the same batch
+   split into three groups).  The lens cells run with the sampler domain
+   observing GC pauses into the shared pause sketches. *)
 let test_configuration_matrix () =
   let methods = [ "all" ] in
   let batch = random_batch ~first_seed:7000 12 in
@@ -274,6 +276,7 @@ let test_configuration_matrix () =
   let telemetry_was = Mae_obs.enabled () in
   Fun.protect
     ~finally:(fun () ->
+      Mae_obs.Runtime.stop ();
       Mae_prob.Kernel_cache.set_enabled kernel_cache_was;
       Mae_obs.set_enabled telemetry_was;
       Mae_obs.Span.reset ())
@@ -289,7 +292,10 @@ let test_configuration_matrix () =
                   List.iter
                     (fun entry ->
                       Mae_prob.Kernel_cache.set_enabled kernel_cache;
-                      Mae_obs.set_enabled telemetry;
+                      Mae_obs.set_enabled (telemetry <> `Off);
+                      if telemetry = `Lens then
+                        Alcotest.(check bool) "lens starts" true
+                          (Mae_obs.Runtime.start ());
                       let cache, expect_hits =
                         match store with
                         | `Off -> (None, 0)
@@ -302,15 +308,20 @@ let test_configuration_matrix () =
                             (Some cas, List.length batch)
                       in
                       let results, hits = run_entry ~entry ?cache ~jobs () in
+                      Mae_obs.Runtime.stop ();
                       let cell =
                         Printf.sprintf
-                          "store=%s kernel_cache=%b jobs=%d telemetry=%b \
+                          "store=%s kernel_cache=%b jobs=%d telemetry=%s \
                            entry=%s"
                           (match store with
                           | `Off -> "off"
                           | `Cold -> "cold"
                           | `Warm -> "warm")
-                          kernel_cache jobs telemetry
+                          kernel_cache jobs
+                          (match telemetry with
+                          | `Off -> "off"
+                          | `On -> "on"
+                          | `Lens -> "on+lens")
                           (match entry with
                           | `Batch -> "run_circuits_with_stats"
                           | `Grouped -> "run_grouped/3")
@@ -322,7 +333,7 @@ let test_configuration_matrix () =
                         hits;
                       Mae_obs.Span.reset ())
                     [ `Batch; `Grouped ])
-                [ false; true ])
+                [ `Off; `On; `Lens ])
             [ 1; Mae_engine.default_jobs () ])
         [ true; false ])
     [ `Off; `Cold; `Warm ]

@@ -206,16 +206,49 @@ let test_runtimez_roundtrip () =
       Alcotest.(check bool) "uptime positive" true (up > 0.)
   | _ -> Alcotest.fail "process.uptime_s missing");
   (* the serve plane sends exactly this encoding; mae top must read it *)
-  match Mae_serve.Top.parse_runtimez (Json.encode doc) with
-  | Error e -> Alcotest.failf "top parser rejected /runtimez: %s" e
-  | Ok rows ->
-      Alcotest.(check int)
-        "one row per domain"
-        (List.length (Runtime.domains ()))
-        (List.length rows);
-      Alcotest.(check bool)
-        "rows carry pauses" true
-        (List.exists (fun r -> r.Mae_serve.Top.rt_pauses > 0) rows)
+  let rows =
+    match Mae_serve.Top.parse_runtimez (Json.encode doc) with
+    | Error e -> Alcotest.failf "top parser rejected /runtimez: %s" e
+    | Ok rows -> rows
+  in
+  Alcotest.(check int)
+    "one row per domain"
+    (List.length (Runtime.domains ()))
+    (List.length rows);
+  Alcotest.(check bool)
+    "rows carry pauses" true
+    (List.exists (fun r -> r.Mae_serve.Top.rt_pauses > 0) rows);
+  (* the latency pane lists only families measured in seconds: the
+     batch-size summary counts requests and must not print as us *)
+  let metrics =
+    Mae_serve.Top.parse_prometheus
+      "mae_serve_batch_requests{quantile=\"0.5\"} 3\n\
+       mae_serve_batch_requests_sum 30\n\
+       mae_serve_batch_requests_count 10\n\
+       mae_engine_module_seconds_summary{quantile=\"0.5\"} 0.0002\n"
+  in
+  let frame =
+    Mae_serve.Top.render
+      {
+        Mae_serve.Top.at = 0.;
+        metrics;
+        healthy = true;
+        slos = [];
+        captures = [];
+        runtime = rows;
+      }
+  in
+  let contains needle =
+    let n = String.length needle and m = String.length frame in
+    let rec at i =
+      i + n <= m && (String.equal (String.sub frame i n) needle || at (i + 1))
+    in
+    at 0
+  in
+  Alcotest.(check bool) "seconds family in the latency pane" true
+    (contains "mae_engine_module_seconds_summary");
+  Alcotest.(check bool) "batch-size family kept out of the latency pane" false
+    (contains "mae_serve_batch_requests")
 
 let () =
   Alcotest.run "runtime lens"
