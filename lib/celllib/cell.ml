@@ -20,27 +20,40 @@ type t = {
   transistors : transistor list;
 }
 
+(* Expansion names transistor [t] of instance [x] "x.t", and its private
+   net [n] "x.n".  With dot-free suffixes the last dot splits instance
+   from suffix, so two instances never generate the same name. *)
+let check_dot_free cell_name what name =
+  if String.contains name '.' then
+    invalid_arg (* invariant *)
+      (Printf.sprintf "Cell.make: %s has %s %S containing '.'" cell_name what
+         name)
+
 let check_terminal cell_name pin_count = function
   | Pin i ->
       if i < 0 || i >= pin_count then
-        invalid_arg
+        invalid_arg (* invariant *)
           (Printf.sprintf "Cell.make: %s references pin %d of %d" cell_name i
              pin_count)
   | Internal name ->
       if String.length name = 0 then
-        invalid_arg (Printf.sprintf "Cell.make: %s has empty internal net" cell_name)
+        invalid_arg (* invariant *)
+          (Printf.sprintf "Cell.make: %s has empty internal net" cell_name);
+      check_dot_free cell_name "internal net" name
   | Vdd | Gnd -> ()
 
 let make ~name ~pins ~transistors =
-  if String.length name = 0 then invalid_arg "Cell.make: empty name";
+  if String.length name = 0 then invalid_arg "Cell.make: empty name"; (* invariant *)
   let pin_count = List.length pins in
   let seen = Hashtbl.create 8 in
   List.iter
     (fun (tx : transistor) ->
       if Hashtbl.mem seen tx.name then
-        invalid_arg
-          (Printf.sprintf "Cell.make: %s has duplicate transistor %s" name tx.name);
+        invalid_arg (* invariant *)
+          (Printf.sprintf "Cell.make: %s has duplicate transistor %s" name
+             tx.name);
       Hashtbl.add seen tx.name ();
+      check_dot_free name "transistor" tx.name;
       check_terminal name pin_count tx.drain;
       check_terminal name pin_count tx.gate;
       check_terminal name pin_count tx.source)

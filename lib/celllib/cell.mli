@@ -12,19 +12,19 @@ type pin_role = Input | Output
 
 type terminal =
   | Pin of int  (** index into the cell's pin list *)
-  | Internal of string  (** a net private to the cell instance *)
+  | Internal of string  (** a net private to the cell instance; dot-free *)
   | Vdd
   | Gnd
 
 type transistor = {
-  name : string;  (** suffix for the expanded instance name *)
+  name : string;  (** suffix for the expanded instance name; dot-free *)
   kind : string;  (** transistor device kind in the process *)
   drain : terminal;
   gate : terminal;
   source : terminal;
 }
 
-type t = {
+type t = private {
   name : string;  (** also the device-kind name of the gate *)
   pins : (string * pin_role) list;
       (** pin order matches HDL instantiation: inputs first, outputs last *)
@@ -32,8 +32,15 @@ type t = {
 }
 
 val make : name:string -> pins:(string * pin_role) list -> transistors:transistor list -> t
-(** Validates pin indices in templates and uniqueness of transistor names;
-    raises [Invalid_argument] otherwise. *)
+(** Validates pin indices in templates, uniqueness of transistor names,
+    and that no transistor or internal-net name contains ['.'];
+    raises [Invalid_argument] otherwise.
+
+    The dot rule is what keeps expanded names unique: instance [x1]
+    yields [x1.<transistor>] and [x1.<internal>], and with dot-free
+    suffixes the last ['.'] of such a name always separates the
+    instance from the suffix, so two instances can never generate the
+    same name.  [t] is private so every cell goes through this check. *)
 
 val pin_count : t -> int
 

@@ -14,15 +14,16 @@
    simply stops being looked up.  There is no invalidation protocol to
    get wrong.
 
-   Two tiers back the store.  [table] holds promoted entries: full
-   module reports, returned on hits bit-for-bit as first computed.
-   [warm] holds entries replayed from the append-only journal as parsed
-   text; a warm entry is promoted (reconstructed into a report) on its
-   first hit, which needs the live circuit and process -- exactly what
-   the caller holding a matching key has in hand.  Reconstructed reports
-   carry [issues = []] and [expanded = None]: validation warnings and
-   the expansion intermediate are not part of any serve answer, and
-   recomputing them would defeat the cache.
+   Two tiers back the store.  [table] holds live entries, all of one
+   shape: the module report with [expanded = None] and [issues = []].
+   Its circuit, process and every method result are those first
+   computed, bit for bit; validation warnings and the transistor-level
+   expansion are not part of any serve answer, and the expansion alone
+   was most of a stored report's heap.  [warm] holds entries replayed
+   from the append-only journal as parsed text; a warm entry is promoted
+   (reconstructed into that same shape) on its first hit, which needs
+   the live circuit and process -- exactly what the caller holding a
+   matching key has in hand.
 
    Journal robustness: appends are sequential, so the only corruption a
    crash can produce is a torn final entry -- tolerated on load.  A
@@ -127,7 +128,9 @@ let enforce_cap t =
       in
       evict ()
 
-let insert_live t k report =
+(* the one live-entry shape, whichever tier the report came from *)
+let insert_live t k (report : D.module_report) =
+  let report = { report with expanded = None; issues = [] } in
   let n = { n_key = k; n_report = report; n_prev = None; n_next = None } in
   Hashtbl.replace t.table k n;
   push_front t n;

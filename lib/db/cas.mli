@@ -9,11 +9,14 @@
     the registry, or bumping its epoch changes every key, so stale
     entries are simply never looked up again.
 
-    Hits return the stored {!Mae.Driver.module_report} bit-for-bit as
-    first computed.  Entries replayed from the journal are promoted
-    lazily on first hit; a promoted-from-disk report carries
-    [issues = []] and [expanded = None] (neither is part of a serve
-    answer).  Thread-safe; lookups count into the
+    Every hit returns one entry shape, whether the entry was stored in
+    this process or promoted from the journal: the
+    {!Mae.Driver.module_report} with [expanded = None] and
+    [issues = []], its circuit, process and method results bit-for-bit
+    as first computed.  Neither dropped field is part of a serve
+    answer, and the expansion would dominate the store's memory.
+    Entries replayed from the journal are promoted lazily on first
+    hit.  Thread-safe; lookups count into the
     [mae_estimate_cache_{hits,misses}_total] metrics. *)
 
 type t
@@ -51,8 +54,9 @@ val find :
 
 val store : t -> key:string -> Mae.Driver.module_report -> unit
 (** Insert (first write wins) and append to the journal when one is
-    open.  A journal write failure disables persistence but never
-    estimation. *)
+    open.  The stored entry drops the report's [expanded] and [issues];
+    the caller's report is not changed.  A journal write failure
+    disables persistence but never estimation. *)
 
 val length : t -> int
 (** Promoted + journal-replayed entries currently held. *)

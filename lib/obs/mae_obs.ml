@@ -53,6 +53,9 @@ let enabled = Control.enabled
 let set_enabled = Control.set_enabled
 let with_enabled = Control.with_enabled
 
+(* Drop every recorded span, counter and gauge value, and every sketch's
+   observations, so the next pass starts from zero. *)
 let reset () =
   Span.reset ();
-  Metrics.reset_values ()
+  Metrics.reset_values ();
+  List.iter Sketch.reset (Sketch.all ())

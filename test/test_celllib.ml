@@ -15,6 +15,19 @@ let test_cell_validation () =
             { Cell.name = "t"; kind = "nenh"; drain = Cell.Gnd;
               gate = Cell.Gnd; source = Cell.Gnd } ])
 
+let test_cell_names_dot_free () =
+  (* expanded names are unique only because these suffixes have no '.' *)
+  let tx ?(name = "t") drain =
+    { Cell.name; kind = "nenh"; drain; gate = Cell.Pin 0; source = Cell.Gnd }
+  in
+  let make transistors =
+    Cell.make ~name:"c" ~pins:[ ("a", Cell.Input) ] ~transistors
+  in
+  S.raises_invalid (fun () -> make [ tx ~name:"p.d0" (Cell.Pin 0) ]);
+  S.raises_invalid (fun () -> make [ tx (Cell.Internal "m.1") ]);
+  S.raises_invalid (fun () -> make [ tx (Cell.Internal "") ]);
+  ignore (make [ tx ~name:"pd0" (Cell.Internal "unconnected0") ])
+
 let expected_nmos_counts =
   [ ("inv", 2); ("buf", 4); ("nand2", 3); ("nand3", 4); ("nand4", 5);
     ("nor2", 3); ("nor3", 4); ("aoi22", 5); ("xor2", 9); ("mux2", 8);
@@ -133,6 +146,197 @@ let test_expand_internal_nets_private () =
       Alcotest.(check bool) "g2 internal" true
         (Mae_netlist.Circuit.find_net tx "g2.pd_m1" <> None)
 
+(* Differential: the index-level expansion against the name-keyed
+   Builder expansion it replaced, kept here as the oracle. *)
+
+exception Skip
+
+let oracle ?(include_supplies = false) library (c : Mae_netlist.Circuit.t) =
+  let builder =
+    Mae_netlist.Builder.create ~name:(c.name ^ "_tx") ~technology:c.technology
+  in
+  let net_name i = c.nets.(i).Mae_netlist.Net.name in
+  let resolve (d : Mae_netlist.Device.t) = function
+    | Cell.Pin i ->
+        if i >= Array.length d.pins then
+          String.concat "" [ d.name; ".unconnected"; string_of_int i ]
+        else net_name d.pins.(i)
+    | Cell.Internal n -> String.concat "" [ d.name; "."; n ]
+    | Cell.Vdd -> if include_supplies then "vdd!" else raise Skip
+    | Cell.Gnd -> if include_supplies then "gnd!" else raise Skip
+  in
+  let expand_device (d : Mae_netlist.Device.t) =
+    match Library.find library d.kind with
+    | None -> Error (Expand.Unknown_cell { device = d.name; kind = d.kind })
+    | Some cell ->
+        List.iter
+          (fun (t : Cell.transistor) ->
+            let nets =
+              List.filter_map
+                (fun term ->
+                  match resolve d term with
+                  | name -> Some name
+                  | exception Skip -> None)
+                [ t.drain; t.gate; t.source ]
+            in
+            ignore
+              (Mae_netlist.Builder.add_device builder
+                 ~name:(d.name ^ "." ^ t.name)
+                 ~kind:t.kind ~nets))
+          cell.transistors;
+        Ok ()
+  in
+  let rec go i =
+    if i >= Array.length c.devices then Ok ()
+    else
+      match expand_device c.devices.(i) with
+      | Ok () -> go (i + 1)
+      | Error e -> Error e
+  in
+  match go 0 with
+  | Error e -> Error e
+  | Ok () ->
+      Array.iter
+        (fun (p : Mae_netlist.Port.t) ->
+          Mae_netlist.Builder.add_port builder ~name:p.name
+            ~direction:p.direction ~net:(net_name p.net))
+        c.ports;
+      Ok (Mae_netlist.Builder.build builder)
+
+let check_same library (c : Mae_netlist.Circuit.t) =
+  List.iter
+    (fun include_supplies ->
+      let want = oracle ~include_supplies library c in
+      let got = Expand.circuit ~include_supplies library c in
+      if got <> want then
+        Alcotest.failf "%s (%s, include_supplies=%b): expansion differs"
+          c.name (Library.name library) include_supplies)
+    [ false; true ]
+
+let generator_families technology =
+  let module G = Mae_workload.Generators in
+  [
+    G.full_adder ~technology (); G.ripple_adder ~technology 4;
+    G.counter ~technology 5; G.decoder ~technology 3; G.parity ~technology 9;
+    G.mux_tree ~technology 3; G.alu ~technology 4;
+    G.shift_register ~technology 6; G.multiplier ~technology 3;
+    G.c17 ~technology ();
+  ]
+
+let test_differential_generators () =
+  List.iter (check_same Nmos_lib.library) (generator_families "nmos25");
+  List.iter (check_same Cmos_lib.library) (generator_families "cmos20")
+
+let test_differential_random () =
+  let module Rc = Mae_workload.Random_circuit in
+  for i = 0 to 199 do
+    let rng = S.rng (1000 + i) in
+    let technology, library =
+      if i mod 2 = 0 then ("nmos25", Nmos_lib.library)
+      else ("cmos20", Cmos_lib.library)
+    in
+    let devices = 5 + Mae_prob.Rng.int rng 120 in
+    let c =
+      Rc.generate ~rng
+        {
+          Rc.default_params with
+          devices;
+          primary_inputs = max 3 (devices / 8);
+          primary_outputs = max 2 (devices / 10);
+          locality = Mae_prob.Rng.int rng 20;
+          technology;
+        }
+    in
+    check_same library c
+  done
+
+let hand_built name entries ports =
+  let b = Mae_netlist.Builder.create ~name ~technology:"cmos20" in
+  List.iter
+    (fun (inst, kind, nets) ->
+      ignore (Mae_netlist.Builder.add_device b ~name:inst ~kind ~nets))
+    entries;
+  List.iter
+    (fun net ->
+      Mae_netlist.Builder.add_port b ~name:("p_" ^ net)
+        ~direction:Mae_netlist.Port.Inout ~net)
+    ports;
+  Mae_netlist.Builder.build b
+
+let test_differential_missing_pins () =
+  (* nand3 and dff drive their missing output from several transistors;
+     a pinless device floats every pin *)
+  let c =
+    hand_built "short"
+      [ ("g1", "nand3", [ "a" ]); ("g2", "dff", [ "a"; "ck" ]);
+        ("g3", "xor2", []); ("g4", "inv", [ "a"; "y"; "extra" ]) ]
+      [ "a"; "only_port" ]
+  in
+  List.iter (fun lib -> check_same lib c) [ Nmos_lib.library; Cmos_lib.library ];
+  (* an internal net named like a missing pin is that pin's net *)
+  let odd =
+    Cell.make ~name:"odd"
+      ~pins:[ ("a", Cell.Input); ("b", Cell.Input); ("y", Cell.Output) ]
+      ~transistors:
+        [ { Cell.name = "t0"; kind = "nenh"; drain = Cell.Pin 2;
+            gate = Cell.Pin 1; source = Cell.Internal "unconnected2" };
+          { Cell.name = "t1"; kind = "nenh"; drain = Cell.Internal "unconnected1";
+            gate = Cell.Pin 0; source = Cell.Vdd } ]
+  in
+  let lib = Library.make ~name:"odd-lib" ~cells:[ odd ] in
+  check_same lib
+    (hand_built "odd" [ ("o1", "odd", [ "a" ]); ("o2", "odd", [ "a"; "b" ]) ] [])
+
+let test_differential_hostile_names () =
+  (* Gate nets that spell generated names merge with them, whichever is
+     seen first: x1.n is buf x1's internal node (used by x0 before x1
+     expands and by x2 after), x2.unconnected2 is nand2 x2's floating
+     output, and vdd!/gnd! are the rails.  x1.unconnected2 names no
+     generated net (buf has no pin 2), and x1.i1_p is both a gate
+     instance and the name of one of x1's transistors. *)
+  let c =
+    hand_built "hostile"
+      [ ("x0", "inv", [ "x1.n"; "vdd!" ]); ("x1", "buf", [ "a"; "b" ]);
+        ("x2", "nand2", [ "x1.n" ]); ("x3", "inv", [ "x2.unconnected2"; "gnd!" ]);
+        ("x4", "nand2", [ "x1.unconnected2"; "x4.unconnected1" ]);
+        ("x1.i1_p", "inv", [ "a"; "x1.i1_p.i_n" ]) ]
+      [ "x1.n"; "vdd!"; "port.only" ]
+  in
+  List.iter (fun lib -> check_same lib c) [ Nmos_lib.library; Cmos_lib.library ];
+  match Expand.circuit ~include_supplies:true Cmos_lib.library c with
+  | Error _ -> Alcotest.fail "expansion failed"
+  | Ok tx ->
+      let named name =
+        List.filter
+          (fun (n : Mae_netlist.Net.t) -> n.name = name)
+          (Array.to_list tx.nets)
+      in
+      let degree name =
+        match named name with
+        | [ n ] -> Mae_netlist.Circuit.degree tx n.index
+        | l -> Alcotest.failf "%d nets named %s" (List.length l) name
+      in
+      (* x0's pair, x1's four inverters' transistors on n, x2's pin a *)
+      Alcotest.(check int) "x1.n merged" 8 (degree "x1.n");
+      (* x2's output drains plus x3's input gates *)
+      Alcotest.(check int) "x2.unconnected2 merged" 5 (degree "x2.unconnected2");
+      Alcotest.(check int) "one vdd!" 1 (List.length (named "vdd!"))
+
+let test_differential_unknown_cell () =
+  let c =
+    hand_built "alien"
+      [ ("u0", "inv", [ "a"; "b" ]); ("u1", "alien", [ "b" ]);
+        ("u2", "martian", [ "b" ]) ]
+      []
+  in
+  List.iter
+    (fun lib ->
+      check_same lib c;
+      match Expand.circuit lib c with
+      | Error (Expand.Unknown_cell { device = "u1"; kind = "alien" }) -> ()
+      | _ -> Alcotest.fail "expected Unknown_cell u1/alien")
+    [ Nmos_lib.library; Cmos_lib.library ]
+
 (* Properties *)
 
 let props =
@@ -165,7 +369,11 @@ let props =
 let () =
   Alcotest.run "celllib"
     [
-      ("cell", [ Alcotest.test_case "validation" `Quick test_cell_validation ]);
+      ( "cell",
+        [
+          Alcotest.test_case "validation" `Quick test_cell_validation;
+          Alcotest.test_case "dot-free names" `Quick test_cell_names_dot_free;
+        ] );
       ( "libraries",
         [
           Alcotest.test_case "nmos transistor counts" `Quick
@@ -188,6 +396,16 @@ let () =
           Alcotest.test_case "unknown cell" `Quick test_expand_unknown_cell;
           Alcotest.test_case "internal nets private" `Quick
             test_expand_internal_nets_private;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "generator families" `Quick
+            test_differential_generators;
+          Alcotest.test_case "random circuits" `Quick test_differential_random;
+          Alcotest.test_case "missing pins" `Quick test_differential_missing_pins;
+          Alcotest.test_case "hostile names" `Quick
+            test_differential_hostile_names;
+          Alcotest.test_case "unknown cell" `Quick test_differential_unknown_cell;
         ] );
       ("properties", props);
     ]

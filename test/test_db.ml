@@ -339,6 +339,51 @@ let test_cas_journal_roundtrip () =
   Mae_db.Cas.close_journal cas3;
   Sys.remove path
 
+(* One entry shape for both tiers: a fresh-stored hit and a
+   journal-promoted hit both drop the expansion and the warnings, and
+   keep every result bit-for-bit.  The report carries a warning so the
+   dropped [issues] is observable. *)
+let test_cas_entry_shape () =
+  let r = report () in
+  let r = { r with issues = [ Mae_netlist.Validate.No_ports ] } in
+  Alcotest.(check bool) "computed report has an expansion" true
+    (Option.is_some r.expanded);
+  let p = process () in
+  let key = Mae_db.Cas.key ~process:p S.full_adder in
+  let check_shape what (hit : Mae.Driver.module_report option) =
+    match hit with
+    | None -> Alcotest.failf "%s: no hit" what
+    | Some h ->
+        Alcotest.(check bool) (what ^ ": expanded = None") true
+          (Option.is_none h.expanded);
+        Alcotest.(check int) (what ^ ": issues = []") 0 (List.length h.issues);
+        Alcotest.(check bool) (what ^ ": same circuit") true (h.circuit == r.circuit);
+        Alcotest.(check (list (pair string int64)))
+          (what ^ ": results bit-for-bit") (report_bits r) (report_bits h)
+  in
+  let path = Filename.temp_file "mae_cas_shape" ".journal" in
+  let fresh = Mae_db.Cas.create () in
+  (match Mae_db.Cas.open_journal fresh ~path with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "open_journal: %s" e);
+  Mae_db.Cas.store fresh ~key r;
+  Mae_db.Cas.close_journal fresh;
+  Alcotest.(check bool) "caller's report untouched" true
+    (Option.is_some r.expanded && r.issues <> []);
+  check_shape "fresh-stored hit"
+    (Mae_db.Cas.find fresh ~key ~circuit:S.full_adder ~process:p);
+  let replayed = Mae_db.Cas.create () in
+  (match Mae_db.Cas.open_journal replayed ~path with
+  | Ok (1, 0) -> ()
+  | Ok (l, sk) -> Alcotest.failf "replay loaded %d skipped %d" l sk
+  | Error e -> Alcotest.failf "replay open_journal: %s" e);
+  Mae_db.Cas.close_journal replayed;
+  check_shape "journal-promoted hit"
+    (Mae_db.Cas.find replayed ~key ~circuit:r.circuit ~process:p);
+  check_shape "journal-promoted repeat hit"
+    (Mae_db.Cas.find replayed ~key ~circuit:r.circuit ~process:p);
+  Sys.remove path
+
 let test_cas_version_bump_invalidates () =
   let cas = Mae_db.Cas.create () in
   let r = report () in
@@ -499,6 +544,8 @@ let () =
             test_cas_hit_returns_same_report;
           Alcotest.test_case "journal warm round trip" `Quick
             test_cas_journal_roundtrip;
+          Alcotest.test_case "one entry shape for both tiers" `Quick
+            test_cas_entry_shape;
           Alcotest.test_case "version bump invalidates" `Quick
             test_cas_version_bump_invalidates;
           Alcotest.test_case "lru cap churn" `Quick test_cas_lru_eviction;

@@ -632,6 +632,30 @@ let test_sketch_registry () =
   Alcotest.(check bool) "exemplar comment in dump" true
     (contains "# EXEMPLAR mae_test_sketch_reg_seconds_summary" prom)
 
+(* Mae_obs.reset starts a pass from zero: sketches included, or a
+   profiler's later passes would report the earlier passes' samples. *)
+let test_reset_clears_sketches () =
+  let name = "mae_test_obs_reset_seconds_summary" in
+  let sk = Mae_obs.Sketch.create name in
+  Mae_obs.Sketch.observe_exemplar sk ~label:"r1" 0.25;
+  Mae_obs.Sketch.observe sk 0.5;
+  Alcotest.(check int) "observed" 2 (Mae_obs.Sketch.snapshot sk).n;
+  Mae_obs.reset ();
+  let s = Mae_obs.Sketch.snapshot sk in
+  Alcotest.(check int) "n after reset" 0 s.n;
+  Alcotest.(check int) "exemplars after reset" 0 (List.length s.exemplars);
+  let lines = String.split_on_char '\n' (Metrics.to_prometheus ()) in
+  let starts prefix l =
+    String.length l >= String.length prefix
+    && String.equal (String.sub l 0 (String.length prefix)) prefix
+  in
+  Alcotest.(check (list string)) "no sample lines" []
+    (List.filter
+       (fun l -> starts (name ^ "{") l || starts ("# EXEMPLAR " ^ name) l)
+       lines);
+  Alcotest.(check bool) "count line reads 0" true
+    (List.mem (name ^ "_count 0") lines)
+
 (* --- SLO burn-rate math and the /healthz trip condition --- *)
 
 let test_slo_burn () =
@@ -812,6 +836,8 @@ let () =
             test_sketch_merged_domains;
           Alcotest.test_case "registry, lint, exemplars" `Quick
             test_sketch_registry;
+          Alcotest.test_case "Mae_obs.reset clears sketches" `Quick
+            test_reset_clears_sketches;
         ] );
       ( "slo",
         [ Alcotest.test_case "burn rates and healthy trip" `Quick test_slo_burn ]
